@@ -11,12 +11,14 @@
 //
 //   setup   generate the fleet's demand from --seed, preload its history,
 //           start stores, handler pool, server and plane, and run the cold
-//           first TickOnce (five times; the medians are setup_s and
-//           cold_tick_s, and the last system is used);
-//   ingest  open-loop PublishTelemetry of each pool's next demand bins
-//           beside other publishes and GETs;
+//           first TickOnce (four times; the medians are setup_s and
+//           cold_tick_s, the published documents must agree, and the last
+//           system is used);
 //   ticks   warm ticks, each followed by a chunk of open-loop
-//           GetRecommendation at a fixed rate with the plane idle;
+//           GetRecommendation at a fixed rate with the plane idle; on
+//           ingest-tick the ticks instead run beside open-loop
+//           PublishTelemetry of each pool's next demand bins and GETs,
+//           and the read chunks follow;
 //   ladder  GETs at a fixed ladder of rates up to the latency limit;
 //   quality each published recommendation replayed through PoolSimulator
 //           against the arrivals the generator realised for its hour.
@@ -90,13 +92,43 @@ constexpr size_t kWindow = 64;
 // A ladder step meets the limit when its p99, timed from the scheduled send
 // and counting failed or shed requests as misses, stays under this.
 constexpr double kLadderLimitMs = 25.0;
-constexpr int kSetupRepeats = 5;
+constexpr int kSetupRepeats = 4;
 // A traced run pairs TickOnce with the decomposed tick for at least this
 // many warm ticks, and until the TickOnce side has run this many seconds:
 // one pair of sub-second ticks can differ by ~15% from host noise alone.
 constexpr size_t kPairedWarmTicks = 10;
 constexpr double kPairedSeconds = 8.0;
 constexpr size_t kMaxPairedWarmTicks = 60;
+
+// The read phase's fixed GET rate: about a fifth of the ~130k/s the ladder
+// reaches on a 4-vCPU host. Much lower, the server's threads go idle between
+// requests, and the p99 on a virtualized host is then set by how fast a
+// halted vCPU wakes (milliseconds, varying run to run), not by the server.
+constexpr double kReadRate = 25000.0;
+/// The ladder's GET rates, ascending; fine steps where a 4-core server
+/// saturates.
+constexpr double kLadder[] = {30e3, 40e3, 50e3, 55e3, 60e3, 65e3,
+                              70e3, 75e3, 80e3, 90e3, 100e3, 115e3,
+                              130e3, 150e3, 175e3, 200e3};
+constexpr double kLadderStepSeconds = 0.8;
+
+// ingest-tick's mixed phase, the `serve` shape. A warm tick of its six SSA+
+// pools holds both handler threads for 0.8-1 s; ticking every 1.6 s leaves
+// the handlers the rest of each period to drain. The 4 connections carry at
+// most 256 requests, so about 400 requests/s is what a held pool can queue
+// without the generator falling behind: 200 publishes and 200 GETs. The
+// publishes replay each pool's demand in compressed time, ~50 bins per pool
+// per tick, so every tick refits on slid history.
+constexpr double kIngestShare = 0.7;  ///< of --seconds
+constexpr double kIngestPublishRate = 200.0;
+constexpr double kIngestGetRate = 200.0;
+constexpr double kTickPeriodSeconds = 1.6;
+
+/// ingest-tick's read phase, after its ticks, is cut into this many chunks
+/// (each followed by a burst) so serve_cpu_us_per_req is a median there too.
+constexpr size_t kConcurrentReadChunks = 4;
+/// GETs in one burst: ~0.2 s of a 4-core server's capacity.
+constexpr size_t kBurstRequests = 20000;
 
 // ---------------------------------------------------------------------------
 // Workloads
@@ -114,29 +146,16 @@ struct Workload {
   /// Zipf exponent of the read key popularity (0 = uniform).
   double zipf_s = 0.0;
   bool tuner = false;
-  /// Ticks run during the ingest traffic, which then also carries GETs.
+  /// The plane ticks beside an open-loop mix of publishes and GETs
+  /// (ingest-tick); otherwise ticks and reads take turns.
   bool concurrent = false;
-  // Fixed rates sit where the server's threads stay busy: at a few
-  // thousand requests/s the p99 on a virtualized host is set by waking
-  // halted vCPUs (milliseconds, varying run to run), not by the server.
-  double ingest_rate = 2000.0;       ///< demand publishes/s in the ingest phase
-  double ingest_load_rate = 8000.0;  ///< `load.<pool>` publishes/s beside them
-  double ingest_get_rate = 15000.0;  ///< GET/s beside them
-  double ingest_share = 0.3;         ///< of --seconds
-  double read_rate = 25000.0;        ///< GET/s in the fixed-rate read phase
-  double read_share = 0.2;
-  /// GET/s, ascending; fine steps where a 4-core server saturates.
-  std::vector<double> ladder = {30e3, 40e3, 50e3, 55e3, 60e3, 65e3, 70e3,
-                                75e3, 80e3, 90e3, 100e3, 115e3, 130e3,
-                                150e3, 175e3, 200e3};
-  double ladder_step_seconds = 0.8;
-  size_t warm_ticks = 4;
-  double tick_period_seconds = 2.0;  ///< concurrent workloads only
-  /// Quiesced ticks: every warm tick slides this many bins into the pools
-  /// selected by `slide_every` (pool i slides on tick t when
-  /// (i + t) % slide_every == 0).
-  size_t slide_bins = 10;
+  double read_share = 0.2;  ///< of --seconds
+  /// Quiesced workloads: warm ticks, each followed by a read chunk.
+  size_t warm_ticks = 0;
+  /// Quiesced ticks slide pool i on tick t when (i + t) % slide_every == 0,
+  /// by slide_bins bins.
   size_t slide_every = 1;
+  size_t slide_bins = 10;
 };
 
 std::vector<PoolSpec> TablePools(uint64_t seed, size_t count) {
@@ -165,21 +184,12 @@ Workload MakeWorkload(const std::string& name, uint64_t seed) {
     w.pools = TablePools(seed, 8);
     w.catalog_docs = 1024;
     w.zipf_s = 1.1;
-    w.ingest_share = 0.15;
-    w.read_share = 0.25;
+    w.read_share = 0.4;
     w.warm_ticks = 8;
   } else if (name == "ingest-tick") {
     w.pools = TablePools(seed, 6);
     w.concurrent = true;
-    // Ticks hold both handler threads for about a second, and 4
-    // connections carry at most 256 requests: a higher rate would only
-    // queue in the generator.
-    w.ingest_rate = 200.0;
-    w.ingest_load_rate = 0.0;
-    w.ingest_get_rate = 200.0;
-    w.ingest_share = 0.7;
     w.read_share = 0.1;
-    w.tick_period_seconds = 1.6;
   } else if (name == "fleet-tune") {
     // Tune cost per pool depends on its data (switches re-run the alpha'
     // refinement), so the fleet is large enough for a seed's mix to
@@ -188,16 +198,19 @@ Workload MakeWorkload(const std::string& name, uint64_t seed) {
     for (size_t i = 0; i < 8; ++i) {
       PoolSpec pool;
       pool.name = "regime-shift-" + std::to_string(i);
-      // The level shift lands between 12:00 and 13:30, inside the history
-      // window the ticks tune on.
+      // The level shift lands between 09:36 and 11:20, inside the history
+      // window (08:00 to noon) the ticks tune on.
       pool.profile = ipool::RegimeShiftProfile(seed * 1000 + 100 + i,
-                                               0.5 + 0.01 * i, 6.0);
+                                               0.4 + 0.01 * i, 6.0);
       w.pools.push_back(pool);
     }
     w.tuner = true;
-    w.ingest_share = 0.15;
-    w.read_share = 0.2;
+    w.read_share = 0.35;
     w.slide_every = 2;
+    // Long slides spread the replayed documents over more distinct hours:
+    // with 10-bin slides idle_cluster_h varied by 0.15-0.34 (IQR over
+    // median) across ten seeds, with 30-bin slides by 0.08.
+    w.slide_bins = 30;
     w.warm_ticks = 10;
   } else {
     w.name.clear();
@@ -309,16 +322,27 @@ void Remember(System& sys, const std::string& key, const std::string& bytes,
   }
 }
 
+/// Every document the plane currently serves: each pool's recommendation,
+/// then its tuning document when it has one.
+std::vector<PublishedDoc> LiveDocuments(const System& sys) {
+  std::vector<PublishedDoc> docs;
+  for (const Pool& pool : sys.pools) {
+    for (const std::string& key :
+         {pool.name, sys.plane_config.tuning_doc_prefix + pool.name}) {
+      if (auto doc = sys.documents->GetPayload(key)) {
+        docs.push_back({key, *doc});
+      }
+    }
+  }
+  return docs;
+}
+
 /// Records every document the plane currently serves (after each tick).
 void RememberLive(System& sys) {
-  for (const Pool& pool : sys.pools) {
-    if (auto doc = sys.documents->GetPayload(pool.name)) {
-      Remember(sys, pool.name, *doc, true);
-    }
-    const std::string tuning = sys.plane_config.tuning_doc_prefix + pool.name;
-    if (auto doc = sys.documents->GetPayload(tuning)) {
-      Remember(sys, tuning, *doc, false);
-    }
+  for (const PublishedDoc& doc : LiveDocuments(sys)) {
+    const bool tuning =
+        doc.key.rfind(sys.plane_config.tuning_doc_prefix, 0) == 0;
+    Remember(sys, doc.key, doc.bytes, !tuning);
   }
 }
 
@@ -407,9 +431,11 @@ std::unique_ptr<System> Setup(const Workload& w, uint64_t seed) {
   config.clock = [raw] { return raw->clock.load(std::memory_order_relaxed); };
   if (w.tuner) {
     config.tune_interval_seconds = 1.0;  // every tick of the virtual clock
-    // SSA-family and baseline candidates (`serve --tune-models`): a tune
-    // then costs about the same whichever model a pool's data favours.
-    config.tuner.models = {ipool::ModelKind::kBaseline, ipool::ModelKind::kSsa};
+    // SSA candidates only (`serve --tune-models ssa`). With baseline
+    // candidates too, a tick's cost follows how many pools a seed's data
+    // hands to the (nearly free) baseline: tick_p50_s varied by ~0.3 (IQR
+    // over median) across ten seeds, against ~0.2 with SSA only.
+    config.tuner.models = {ipool::ModelKind::kSsa};
     config.tuner.eval_bins = 120;
     // Twice the largest window, so cheap rungs do not handicap SSA fits.
     config.tuner.min_train_bins = 192;
@@ -573,27 +599,14 @@ class KeyPicker {
   std::vector<double> cdf_;
 };
 
+/// Publishes `pool`'s next demand bin. Requires a bin left in the
+/// generated day.
 Request PublishRequest(double due, Pool& pool, uint32_t group) {
   const size_t bin = pool.next_bin++;
   char line[160];
   std::snprintf(line, sizeof(line), "%s,%.17g,%.17g\n",
                 MetricName(pool.name).c_str(), pool.demand.TimeAt(bin),
                 pool.demand.value(bin));
-  Request request;
-  request.due = due;
-  request.method = Method::kPublishTelemetry;
-  request.payload = line;
-  request.order_group = group;
-  return request;
-}
-
-/// A point of a per-pool `load.<pool>` metric: telemetry the store keeps
-/// but no tick reads, so publish latency can be sampled densely without
-/// running the pools' demand series ahead.
-Request LoadRequest(double due, const Pool& pool, size_t seq, uint32_t group) {
-  char line[160];
-  std::snprintf(line, sizeof(line), "load.%s,%.17g,1\n", pool.name.c_str(),
-                0.01 * static_cast<double>(seq));
   Request request;
   request.due = due;
   request.method = Method::kPublishTelemetry;
@@ -827,12 +840,12 @@ struct LadderResult {
 /// Walks the fixed ladder up to the first step that misses the limit and
 /// interpolates (log p99 against rate) where the limit is crossed, so the
 /// result moves continuously with the server's speed.
-LadderResult Ladder(System& sys, const Workload& w, ipool::Rng& rng,
-                    const KeyPicker& picker, Report& report) {
+LadderResult Ladder(System& sys, ipool::Rng& rng, const KeyPicker& picker,
+                    Report& report) {
   LadderResult out;
   auto step = [&](double rate) {
     std::vector<Request> requests;
-    for (double t : PoissonTimes(rng, rate, w.ladder_step_seconds)) {
+    for (double t : PoissonTimes(rng, rate, kLadderStepSeconds)) {
       requests.push_back(GetRequest(t, sys, picker.Pick(rng)));
     }
     char name[48];
@@ -846,7 +859,7 @@ LadderResult Ladder(System& sys, const Workload& w, ipool::Rng& rng,
     return out.steps.back().p99_ms;
   };
   double prev_rate = 0.0, prev_p99 = 0.0;
-  for (double rate : w.ladder) {
+  for (double rate : kLadder) {
     double p99 = step(rate);
     // A step that misses the limit is run once more before the ladder
     // stops: one episode of host interference must not end the walk.
@@ -1080,9 +1093,15 @@ int Run(const Workload& w, uint64_t seed, double seconds, bool traced) {
   };
 
   // Setup and the first (cold) tick, several times: the medians are
-  // setup_s and cold_tick_s. The last system is kept.
+  // setup_s and cold_tick_s. The last system is kept. Every set-up gets the
+  // same inputs, so every plane must publish the same bytes, tuning
+  // documents (the tuner's winners) included. With the tuner, a warm tick
+  // follows on the same slid history: re-tunes of the half that slid start
+  // SSA-warm, those of the other half hit the memo.
   std::vector<double> setup_s, cold_s;
   std::unique_ptr<System> sys;
+  std::vector<PublishedDoc> first_docs;
+  int differing_setups = 0;
   for (int i = 0; i < kSetupRepeats; ++i) {
     sys.reset();
     const double t = SteadyNow();
@@ -1091,7 +1110,27 @@ int Run(const Workload& w, uint64_t seed, double seconds, bool traced) {
     const TickSample cold = Tick(*sys, nullptr);
     count_tick(cold);
     cold_s.push_back(cold.wall_s);
+    std::vector<PublishedDoc> docs = LiveDocuments(*sys);
+    if (w.tuner) {
+      SlideForTick(w, *sys, 0);
+      count_tick(Tick(*sys, nullptr));
+      for (PublishedDoc& doc : LiveDocuments(*sys)) {
+        docs.push_back(std::move(doc));
+      }
+    }
+    if (i == 0) {
+      first_docs = std::move(docs);
+    } else if (docs.size() != first_docs.size() ||
+               !std::equal(docs.begin(), docs.end(), first_docs.begin(),
+                           [](const PublishedDoc& a, const PublishedDoc& b) {
+                             return a.key == b.key && a.bytes == b.bytes;
+                           })) {
+      ++differing_setups;
+    }
   }
+  report.Check(differing_setups == 0,
+               std::to_string(differing_setups) +
+                   " set-ups with the same seed published different documents");
   // Parse the catalog up front (outside setup_s) so the generator does not
   // stall parsing each document the first time it is served.
   for (const auto& [key, doc] : sys->catalog) {
@@ -1121,35 +1160,26 @@ int Run(const Workload& w, uint64_t seed, double seconds, bool traced) {
     }
   };
 
-  // Ingest: each pool's next bins as time-ordered single-point publishes,
-  // beside GETs. In ingest-tick the plane ticks meanwhile and the GETs read
-  // its documents; elsewhere they read the whole key set.
-  {
-    const double duration = w.ingest_share * seconds;
+  // ingest-tick: each pool's next bins as time-ordered single-point
+  // publishes, beside GETs of the pools' live documents, while the plane
+  // ticks on a fixed schedule.
+  if (w.concurrent) {
+    const double duration = kIngestShare * seconds;
     std::vector<Request> requests;
     size_t rr = 0;
-    for (double t : PoissonTimes(rng, w.ingest_rate, duration)) {
+    for (double t : PoissonTimes(rng, kIngestPublishRate, duration)) {
       const size_t p = rr++ % sys->pools.size();
+      Pool& pool = sys->pools[p];
+      // Past the end of the generated day there is nothing to publish.
+      if (pool.next_bin >= pool.demand.size()) continue;
       requests.push_back(
-          PublishRequest(t, sys->pools[p], static_cast<uint32_t>(p + 1)));
+          PublishRequest(t, pool, static_cast<uint32_t>(p + 1)));
     }
-    const size_t pools = sys->pools.size();
-    size_t seq = 0;
-    for (double t : PoissonTimes(rng, w.ingest_load_rate, duration)) {
-      const size_t p = seq % pools;
-      requests.push_back(LoadRequest(t, sys->pools[p], seq++,
-                                     static_cast<uint32_t>(pools + p + 1)));
-    }
-    for (double t : PoissonTimes(rng, w.ingest_get_rate, duration)) {
-      uint32_t key = 0;
-      if (w.concurrent) {
-        const size_t p = static_cast<size_t>(rng.UniformInt(
-            0, static_cast<int64_t>(sys->pools.size() - 1)));
-        key = static_cast<uint32_t>(w.catalog_docs + p * (w.tuner ? 2 : 1));
-      } else {
-        key = picker.Pick(rng);
-      }
-      requests.push_back(GetRequest(t, *sys, key));
+    for (double t : PoissonTimes(rng, kIngestGetRate, duration)) {
+      const size_t p = static_cast<size_t>(rng.UniformInt(
+          0, static_cast<int64_t>(sys->pools.size() - 1)));
+      const size_t key = w.catalog_docs + p * (w.tuner ? 2 : 1);
+      requests.push_back(GetRequest(t, *sys, static_cast<uint32_t>(key)));
     }
     std::stable_sort(requests.begin(), requests.end(),
                      [](const Request& a, const Request& b) {
@@ -1158,11 +1188,10 @@ int Run(const Workload& w, uint64_t seed, double seconds, bool traced) {
     const std::vector<uint64_t> queue_before = queue_counts();
     ingest = RunPhase(*sys, "ingest", requests, 0.1 * duration, traced,
                       [&](pthread_t generator) {
-      if (!w.concurrent) return;
       const double start = SteadyNow();
       for (size_t k = 1;; ++k) {
-        const double due = start + w.tick_period_seconds * static_cast<double>(k);
-        if (due + 0.5 * w.tick_period_seconds > start + duration) break;
+        const double due = start + kTickPeriodSeconds * static_cast<double>(k);
+        if (due + 0.5 * kTickPeriodSeconds > start + duration) break;
         while (SteadyNow() < due) {
           std::this_thread::sleep_for(std::chrono::milliseconds(1));
         }
@@ -1182,15 +1211,24 @@ int Run(const Workload& w, uint64_t seed, double seconds, bool traced) {
   // are both sampled across the whole run, not in one stretch of a shared
   // host's load. A traced run precedes each traced chunk with an untraced
   // one; their GET p50s give the trace overhead.
+  //
+  // A burst of GETs all due at once follows each chunk and gives one figure
+  // of server CPU per GET; their median is serve_cpu_us_per_req. A burst
+  // keeps the server's threads busy. At the fixed rate they sleep between
+  // requests, and each wake-up's CPU is shared by the requests that arrived
+  // meanwhile, so a contended host batches more and reads cheaper: 16-23 us
+  // per GET across ten seeds.
   uint64_t read_calls = 0;
-  PhaseStats plain;
+  PhaseStats plain, bursts;
   read.counts.name = "read";
   plain.counts.name = "read-untraced";
-  const size_t chunks = w.concurrent ? 1 : w.warm_ticks;
+  bursts.counts.name = "burst";
+  std::vector<double> burst_cpu_us;
+  const size_t chunks = w.concurrent ? kConcurrentReadChunks : w.warm_ticks;
   const double chunk_seconds = w.read_share * seconds / static_cast<double>(chunks);
   auto read_chunk = [&](bool traced_chunk) {
     std::vector<Request> requests;
-    for (double t : PoissonTimes(rng, w.read_rate, chunk_seconds)) {
+    for (double t : PoissonTimes(rng, kReadRate, chunk_seconds)) {
       requests.push_back(GetRequest(t, *sys, picker.Pick(rng)));
     }
     const uint64_t calls_before = ComputeCalls(sys->registry);
@@ -1202,6 +1240,21 @@ int Run(const Workload& w, uint64_t seed, double seconds, bool traced) {
     if (traced_chunk) gain(queue_before, queue_counts());
     Merge(traced && !traced_chunk ? plain : read, stats);
   };
+  auto burst = [&] {
+    std::vector<Request> requests;
+    for (size_t i = 0; i < kBurstRequests; ++i) {
+      requests.push_back(GetRequest(0.0, *sys, picker.Pick(rng)));
+    }
+    const uint64_t calls_before = ComputeCalls(sys->registry);
+    // Every request is due at 0: none is timed.
+    const PhaseStats stats =
+        RunPhase(*sys, "burst", requests, 1.0, false, [](pthread_t) {});
+    read_calls += ComputeCalls(sys->registry) - calls_before;
+    burst_cpu_us.push_back(
+        (stats.process_cpu_s - stats.gen_cpu_s) /
+        static_cast<double>(std::max<size_t>(1, stats.completed)) * 1e6);
+    Merge(bursts, stats);
+  };
   for (size_t t = 1; t <= chunks; ++t) {
     if (!w.concurrent) {
       SlideForTick(w, *sys, t);
@@ -1212,13 +1265,15 @@ int Run(const Workload& w, uint64_t seed, double seconds, bool traced) {
     }
     if (traced) read_chunk(false);
     read_chunk(traced);
+    burst();
   }
   report.phases.push_back(read.counts);
   if (traced) report.phases.push_back(plain.counts);
+  report.phases.push_back(bursts.counts);
   Merge(layers, read);
 
   const uint64_t calls_before_ladder = ComputeCalls(sys->registry);
-  const LadderResult ladder = Ladder(*sys, w, rng, picker, report);
+  const LadderResult ladder = Ladder(*sys, rng, picker, report);
   read_calls += ComputeCalls(sys->registry) - calls_before_ladder;
   report.Check(read_calls == 0,
                std::to_string(read_calls) +
@@ -1243,10 +1298,9 @@ int Run(const Workload& w, uint64_t seed, double seconds, bool traced) {
   const double get_p50_ms = QuietQuantile(gets.get_ms, 0.5);
   const double get_p99_ms = QuietQuantile(gets.get_ms, 0.99);
   const double publish_p99_ms = QuietQuantile(ingest.publish_ms, 0.99);
-  const double serve_cpu_us =
-      (reads.process_cpu_s - reads.gen_cpu_s) /
-      static_cast<double>(std::max<size_t>(1, reads.completed)) * 1e6;
+  const double serve_cpu_us = Median(burst_cpu_us);
   if (!traced) {
+    report.Add("serve_cpu_us_per_req", serve_cpu_us, "us");
     report.Add("tick_p50_s", Median(warm_wall), "s");
     report.Add("tick_cpu_s", Median(warm_cpu), "s");
     report.Add("cold_tick_s", Median(cold_s), "s");
@@ -1260,7 +1314,6 @@ int Run(const Workload& w, uint64_t seed, double seconds, bool traced) {
     report.Add("get_p99_ms", get_p99_ms, "ms");
     report.Add("publish_p99_ms", publish_p99_ms, "ms");
     report.Add("max_get_rps", ladder.max_rps, "1/s");
-    report.Add("serve_cpu_us_per_req", serve_cpu_us, "us");
     report.Add("avg_wait_s", quality.avg_wait_s, "s");
     const std::vector<double>& inbound = layers.inbound_us;
     report.Add("net.inbound_us.p50", Median(inbound), "us");
@@ -1318,6 +1371,11 @@ int Run(const Workload& w, uint64_t seed, double seconds, bool traced) {
               "warm ticks %zu cold ticks %zu\n",
               report.tick_attempted, report.tick_failed, gets.get_ms.size(),
               ingest.publish_ms.size(), warm_wall.size(), cold_s.size());
+  std::printf("warm ticks (wall s, cpu s):");
+  for (size_t i = 0; i < warm_wall.size(); ++i) {
+    std::printf(" %.4f/%.4f", warm_wall[i], warm_cpu[i]);
+  }
+  std::printf("\n");
   std::printf("serving: get_p50_ms %.6f get_p99_ms %.6f publish_p99_ms %.6f "
               "max_get_rps %.1f serve_cpu_us_per_req %.4f\n",
               get_p50_ms, get_p99_ms, publish_p99_ms, ladder.max_rps,
@@ -1327,8 +1385,8 @@ int Run(const Workload& w, uint64_t seed, double seconds, bool traced) {
               quality.documents, quality.avg_wait_s, quality.hit_rate,
               quality.idle_cluster_h);
   if (w.tuner) {
-    // Tuning documents are deterministic for a seed: equal digests across
-    // runs mean the tuner chose the same winners.
+    // The set-ups above check within the run that the tuner's winners
+    // repeat; the digest lets runs in separate processes be compared too.
     std::string winners;
     for (const Pool& pool : sys->pools) {
       if (auto doc = sys->documents->GetPayload("tuning." + pool.name)) {
@@ -1393,7 +1451,9 @@ int main(int argc, char** argv) {
   if (w.name.empty() || seconds <= 0.0 || (trace != 0 && trace != 1)) {
     std::fprintf(stderr,
                  "usage: perfbench --workload read-zipf|ingest-tick|fleet-tune "
-                 "--seed N --seconds S --trace 0|1\n");
+                 "--seed N --seconds S --trace 0|1\n"
+                 "(ingest-tick publishes stop where a pool's generated day "
+                 "ends, past --seconds 60)\n");
     return 2;
   }
   return perfbench::Run(w, seed, seconds, trace == 1);
