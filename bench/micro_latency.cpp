@@ -15,6 +15,7 @@
 #include "core/recommendation_engine.h"
 #include "exec/thread_pool.h"
 #include "forecast/forecaster.h"
+#include "forecast/models.h"
 #include "forecast/ssa.h"
 #include "linalg/eigen.h"
 #include "linalg/matrix.h"
@@ -233,11 +234,14 @@ void BM_SsaFit(benchmark::State& state) {
 }
 BENCHMARK(BM_SsaFit)->Arg(720)->Arg(2880)->Unit(benchmark::kMillisecond);
 
+// Arg(480) is the live plane's serve shape: 4 h of 30 s bins, window 96,
+// horizon 48, alpha' 0.9.
 void BM_SsaPlusFitAndForecast(benchmark::State& state) {
   TimeSeries history = MakeDemand(static_cast<size_t>(state.range(0)));
   ForecastParams params;
   params.window = 96;
   params.horizon = 48;
+  params.alpha_prime = 0.9;
   for (auto _ : state) {
     auto forecaster = CreateForecaster(ModelKind::kSsaPlus, params);
     benchmark::DoNotOptimize((*forecaster)->Fit(history));
@@ -246,8 +250,39 @@ void BM_SsaPlusFitAndForecast(benchmark::State& state) {
   }
   state.SetLabel("deployed model: full retrain + 1h forecast");
 }
-BENCHMARK(BM_SsaPlusFitAndForecast)->Arg(720)->Arg(2880)
+BENCHMARK(BM_SsaPlusFitAndForecast)->Arg(480)->Arg(720)->Arg(2880)
     ->Unit(benchmark::kMillisecond);
+
+// The corrector's share of an SSA+ refit at the serve shape: 8 anchors x 48
+// steps = 384 samples, 288 trained for 60 full-batch epochs. Rows are built
+// from the demand series (a one-bin-lag prediction against the next bin);
+// the kernel's cost does not depend on their values.
+void BM_SsaPlusCorrectorTrain(benchmark::State& state) {
+  const TimeSeries history = MakeDemand(480);
+  const double scale = std::max(1.0, history.Max());
+  SsaPlusCorrector::Samples samples;
+  for (size_t i = 1; i <= 384; ++i) {
+    const double t = history.TimeAt(i);
+    const double pred = history.value(i - 1) / scale;
+    const double row[SsaPlusCorrector::kFeatures] = {
+        pred,
+        std::sin(2 * M_PI * t / 86400.0),
+        std::cos(2 * M_PI * t / 86400.0),
+        std::sin(2 * M_PI * std::fmod(t, 3600.0) / 3600.0),
+        std::cos(2 * M_PI * std::fmod(t, 3600.0) / 3600.0),
+        pred,
+        static_cast<double>(i % 48) / 48.0};
+    samples.Add(row, pred, history.value(i) / scale);
+  }
+  for (auto _ : state) {
+    Rng rng(7);
+    SsaPlusCorrector corrector(rng);
+    corrector.Train(samples, 288, 60, 0.9);
+    benchmark::DoNotOptimize(corrector.Delta(samples.row(0)));
+  }
+  state.SetLabel("7-4-1 corrector, 288 samples x 60 epochs");
+}
+BENCHMARK(BM_SsaPlusCorrectorTrain)->Unit(benchmark::kMillisecond);
 
 void BM_EndToEndPipeline(benchmark::State& state) {
   TimeSeries history = MakeDemand(2880);

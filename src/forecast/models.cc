@@ -4,7 +4,7 @@
 #include <cmath>
 
 #include "common/strings.h"
-#include "nn/loss.h"
+#include "linalg/simd_kernels.h"
 #include "nn/optimizer.h"
 
 namespace ipool {
@@ -191,39 +191,143 @@ std::vector<nn::Tensor> InceptionTimeForecaster::ModelParameters() const {
   return params;
 }
 
+// ---- SsaPlusCorrector --------------------------------------------------------
+
+namespace {
+constexpr double kCorrectorLearningRate = 0.03;
+
+std::vector<nn::Tensor> InitCorrectorParameters(Rng& rng) {
+  const nn::Dense hidden(SsaPlusCorrector::kFeatures, SsaPlusCorrector::kHidden,
+                         rng);
+  const nn::Dense output(SsaPlusCorrector::kHidden, 1, rng);
+  return nn::CollectParameters({&hidden, &output});
+}
+}  // namespace
+
+void SsaPlusCorrector::Samples::Add(const double* row, double ssa_pred_scaled,
+                                    double truth_scaled) {
+  features.insert(features.end(), row, row + kFeatures);
+  ssa_pred.push_back(ssa_pred_scaled);
+  truth.push_back(truth_scaled);
+}
+
+SsaPlusCorrector::SsaPlusCorrector(Rng& rng)
+    : params_(InitCorrectorParameters(rng)) {
+  PackHidden();
+}
+
+void SsaPlusCorrector::PackHidden() {
+  const double* w1 = params_[0].value().data();
+  for (size_t kk = 0; kk < kFeatures; ++kk) {
+    for (size_t j = 0; j < kHidden; ++j) {
+      w1t_[j * kFeatures + kk] = w1[kk * kHidden + j];
+    }
+  }
+}
+
+double SsaPlusCorrector::Forward(const double* features, double* hidden) const {
+  const double* b1 = params_[1].value().data();
+  for (size_t j = 0; j < kHidden; ++j) {
+    const double pre =
+        simd::Dot(features, w1t_.data() + j * kFeatures, kFeatures) + b1[j];
+    hidden[j] = pre > 0.0 ? pre : 0.0;
+  }
+  return simd::Dot(hidden, params_[2].value().data(), kHidden) +
+         params_[3].value()[0];
+}
+
+double SsaPlusCorrector::Delta(const double* features) const {
+  double hidden[kHidden];
+  return Forward(features, hidden);
+}
+
+void SsaPlusCorrector::Train(const Samples& samples, size_t num_train,
+                             size_t epochs, double alpha_prime) {
+  nn::Adam adam(params_, kCorrectorLearningRate);
+  const double inv = 1.0 / static_cast<double>(num_train);
+  for (size_t epoch = 0; epoch < epochs; ++epoch) {
+    adam.ZeroGrad();
+    PackHidden();
+    const double* w2 = params_[2].value().data();
+    double* gw1 = params_[0].mutable_grad().data();
+    double* gb1 = params_[1].mutable_grad().data();
+    double* gw2 = params_[2].mutable_grad().data();
+    double* gb2 = params_[3].mutable_grad().data();
+    for (size_t i = 0; i < num_train; ++i) {
+      const double* x = samples.row(i);
+      double hidden[kHidden];
+      const double corrected = Forward(x, hidden) + samples.ssa_pred[i];
+      const double diff = samples.truth[i] - corrected;
+      // Eq 12 backward in the autograd's order: the overshoot branch
+      // (Relu(-diff), weight 1 - alpha') lands before the undershoot branch
+      // (Relu(diff), weight alpha'). Sub negates it for the prediction; the
+      // AddScalar / RowBroadcastAdd / Reshape hops pass it through. (Their
+      // 0 + g seeds only normalize the sign of a zero, which no parameter
+      // gradient can observe: every accumulator starts at +0.)
+      const double g_diff = (1.0 - alpha_prime) * (diff < 0.0 ? 1.0 : 0.0) *
+                                -1.0 +
+                            alpha_prime * (diff > 0.0 ? 1.0 : 0.0);
+      const double g_out = -g_diff;
+      gb2[0] += g_out;
+      // Output MatMul backward (n = 1, so its length-1 Dot and MulAdd are one
+      // multiply each): dW2 skips zero activations, and Relu passes the
+      // hidden gradient only where the unit fired.
+      double g_pre[kHidden];
+      for (size_t j = 0; j < kHidden; ++j) {
+        g_pre[j] = 0.0;
+        if (hidden[j] == 0.0) continue;
+        gw2[j] += hidden[j] * g_out;
+        g_pre[j] = g_out * w2[j];
+      }
+      // Hidden RowBroadcastAdd + MatMul backward: dB1 += g, dW1 row kk +=
+      // x[kk] * g, skipping zero features as MatMulBackward does.
+      for (size_t j = 0; j < kHidden; ++j) gb1[j] += g_pre[j];
+      for (size_t kk = 0; kk < kFeatures; ++kk) {
+        if (x[kk] == 0.0) continue;
+        simd::MulAdd(gw1 + kk * kHidden, g_pre, x[kk], kHidden);
+      }
+    }
+    for (nn::Tensor& p : params_) {
+      for (double& g : p.mutable_grad()) g *= inv;
+    }
+    adam.Step();
+  }
+  PackHidden();
+}
+
 // ---- SsaPlusForecaster -------------------------------------------------------
 
-std::vector<double> SsaPlusForecaster::Features(double ssa_pred_scaled,
-                                                double time_of_day_fraction,
-                                                double time_of_hour_fraction,
-                                                double recent_level_scaled,
-                                                double step_fraction) {
-  return {ssa_pred_scaled,
-          std::sin(2 * M_PI * time_of_day_fraction),
-          std::cos(2 * M_PI * time_of_day_fraction),
-          std::sin(2 * M_PI * time_of_hour_fraction),
-          std::cos(2 * M_PI * time_of_hour_fraction),
-          recent_level_scaled,
-          step_fraction};
+void SsaPlusForecaster::Features(double ssa_pred_scaled,
+                                 double time_of_day_fraction,
+                                 double time_of_hour_fraction,
+                                 double recent_level_scaled,
+                                 double step_fraction, double* row) {
+  row[0] = ssa_pred_scaled;
+  row[1] = std::sin(2 * M_PI * time_of_day_fraction);
+  row[2] = std::cos(2 * M_PI * time_of_day_fraction);
+  row[3] = std::sin(2 * M_PI * time_of_hour_fraction);
+  row[4] = std::cos(2 * M_PI * time_of_hour_fraction);
+  row[5] = recent_level_scaled;
+  row[6] = step_fraction;
 }
 
 size_t SsaPlusForecaster::corrector_parameter_count() const {
   size_t count = 0;
-  for (const nn::Dense* d : {corrector1_.get(), corrector2_.get()}) {
-    if (d == nullptr) continue;
-    for (const nn::Tensor& p : d->Parameters()) count += p.size();
+  if (corrector_) {
+    for (const nn::Tensor& p : corrector_->Parameters()) count += p.size();
   }
   return count;
 }
 
-Status SsaPlusForecaster::Refit(const TimeSeries& history) {
-  refitting_ = true;
-  Status status = Fit(history);
-  refitting_ = false;
-  return status;
+Status SsaPlusForecaster::Fit(const TimeSeries& history) {
+  return FitImpl(history, /*warm=*/false);
 }
 
-Status SsaPlusForecaster::Fit(const TimeSeries& history) {
+Status SsaPlusForecaster::Refit(const TimeSeries& history) {
+  return FitImpl(history, /*warm=*/true);
+}
+
+Status SsaPlusForecaster::FitImpl(const TimeSeries& history, bool warm) {
   IPOOL_RETURN_NOT_OK(params_.Validate());
   const size_t n = history.size();
   if (n < 64) {
@@ -247,12 +351,7 @@ Status SsaPlusForecaster::Fit(const TimeSeries& history) {
   ssa_options.seed = params_.seed;
   ssa_options.exec = params_.exec;
 
-  struct Sample {
-    std::vector<double> features;
-    double ssa_pred_scaled;
-    double truth_scaled;
-  };
-  std::vector<Sample> samples;
+  SsaPlusCorrector::Samples samples;
   constexpr size_t kAnchors = 8;
   const size_t first_anchor = std::max<size_t>(n / 2, 32);
   const size_t chunk = std::min(params_.horizon, n / 10 + 1);
@@ -279,69 +378,42 @@ Status SsaPlusForecaster::Fit(const TimeSeries& history) {
       const double t = history.TimeAt(anchor + i);
       const double tod = std::fmod(t, kSecondsPerDay) / kSecondsPerDay;
       const double toh = std::fmod(t, 3600.0) / 3600.0;
-      Sample s;
-      s.ssa_pred_scaled = (*forecast)[i] / scale_;
-      s.truth_scaled = history.value(anchor + i) / scale_;
-      s.features = Features(s.ssa_pred_scaled, tod, toh, recent,
-                            static_cast<double>(i) /
-                                static_cast<double>(std::max<size_t>(1, steps)));
-      samples.push_back(std::move(s));
+      const double ssa_pred_scaled = (*forecast)[i] / scale_;
+      double row[SsaPlusCorrector::kFeatures];
+      Features(ssa_pred_scaled, tod, toh, recent,
+               static_cast<double>(i) /
+                   static_cast<double>(std::max<size_t>(1, steps)),
+               row);
+      samples.Add(row, ssa_pred_scaled, history.value(anchor + i) / scale_);
     }
   }
-  if (samples.empty()) {
+  if (samples.size() == 0) {
     return Status::Internal("SSA+ could not assemble corrector samples");
   }
 
-  // Shallow corrector: 7 features -> 4 hidden -> 1 correction (37 params).
   // The trailing 25% of samples are held out to validate that the learned
   // correction actually helps; if it does not, the correction is disabled
   // and SSA+ degrades gracefully to plain SSA (a §7.5-style guardrail).
   Rng rng(params_.seed);
-  corrector1_ = std::make_unique<nn::Dense>(kFeatureCount, 4, rng);
-  corrector2_ = std::make_unique<nn::Dense>(4, 1, rng);
-  std::vector<nn::Tensor> parameters =
-      nn::CollectParameters({corrector1_.get(), corrector2_.get()});
-  nn::Adam adam(parameters, 0.03);
-
+  corrector_.emplace(rng);
   const size_t num_train = std::max<size_t>(1, samples.size() * 3 / 4);
-  const size_t corrector_epochs = std::max<size_t>(params_.epochs * 5, 60);
-  for (size_t epoch = 0; epoch < corrector_epochs; ++epoch) {
-    adam.ZeroGrad();
-    for (size_t i = 0; i < num_train; ++i) {
-      const Sample& s = samples[i];
-      nn::Tensor features = nn::Tensor::FromVector(s.features);
-      nn::Tensor delta =
-          corrector2_->Forward(nn::Relu(corrector1_->Forward(features)));
-      nn::Tensor corrected = nn::AddScalar(delta, s.ssa_pred_scaled);
-      nn::Tensor target = nn::Tensor::FromVector({s.truth_scaled});
-      nn::Tensor loss =
-          nn::AsymmetricLoss(corrected, target, params_.alpha_prime);
-      IPOOL_RETURN_NOT_OK(loss.Backward());
-    }
-    const double inv = 1.0 / static_cast<double>(num_train);
-    for (nn::Tensor& p : parameters) {
-      for (double& g : p.mutable_grad()) g *= inv;
-    }
-    adam.Step();
-  }
+  corrector_->Train(samples, num_train, std::max<size_t>(params_.epochs * 5, 60),
+                    params_.alpha_prime);
 
   // Validation gate over the held-out tail.
   double corrected_loss = 0.0;
   double raw_loss = 0.0;
   size_t num_val = 0;
   for (size_t i = num_train; i < samples.size(); ++i) {
-    const Sample& s = samples[i];
-    nn::Tensor features = nn::Tensor::FromVector(s.features);
-    nn::Tensor delta =
-        corrector2_->Forward(nn::Relu(corrector1_->Forward(features)));
-    const double corrected = s.ssa_pred_scaled + delta.scalar();
+    const double truth = samples.truth[i];
     auto pinball = [&](double pred) {
-      const double diff = s.truth_scaled - pred;
+      const double diff = truth - pred;
       return diff > 0 ? params_.alpha_prime * diff
                       : -(1.0 - params_.alpha_prime) * diff;
     };
-    corrected_loss += pinball(corrected);
-    raw_loss += pinball(s.ssa_pred_scaled);
+    corrected_loss +=
+        pinball(samples.ssa_pred[i] + corrector_->Delta(samples.row(i)));
+    raw_loss += pinball(samples.ssa_pred[i]);
     ++num_val;
   }
   // Engage the correction only when it beats raw SSA by a clear margin on
@@ -356,7 +428,7 @@ Status SsaPlusForecaster::Fit(const TimeSeries& history) {
   final_options.warm = params_.ssa_warm;
   final_options.obs = params_.obs;
   ssa_.emplace(final_options);
-  IPOOL_RETURN_NOT_OK(refitting_ ? ssa_->Refit(history) : ssa_->Fit(history));
+  IPOOL_RETURN_NOT_OK(warm ? ssa_->Refit(history) : ssa_->Fit(history));
   const size_t lookback = std::min<size_t>(n, 20);
   recent_level_scaled_ = 0.0;
   for (size_t b = n - lookback; b < n; ++b) {
@@ -379,13 +451,12 @@ Result<std::vector<double>> SsaPlusForecaster::Forecast(size_t horizon) {
         history_end_time_ + interval_seconds_ * static_cast<double>(i);
     const double tod = std::fmod(t, kSecondsPerDay) / kSecondsPerDay;
     const double toh = std::fmod(t, 3600.0) / 3600.0;
-    nn::Tensor features = nn::Tensor::FromVector(
-        Features(base[i] / scale_, tod, toh, recent_level_scaled_,
-                 static_cast<double>(i) /
-                     static_cast<double>(std::max<size_t>(1, horizon))));
-    nn::Tensor delta =
-        corrector2_->Forward(nn::Relu(corrector1_->Forward(features)));
-    out[i] = std::max(0.0, base[i] + delta.scalar() * scale_);
+    double row[SsaPlusCorrector::kFeatures];
+    Features(base[i] / scale_, tod, toh, recent_level_scaled_,
+             static_cast<double>(i) /
+                 static_cast<double>(std::max<size_t>(1, horizon)),
+             row);
+    out[i] = std::max(0.0, base[i] + corrector_->Delta(row) * scale_);
   }
   return out;
 }

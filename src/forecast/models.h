@@ -4,8 +4,8 @@
 //   * TstForecaster            — time-series transformer encoder;
 //   * InceptionTimeForecaster  — 1-D inception convnet;
 //   * SsaPlusForecaster        — the deployed hybrid: SSA + a ~30-parameter
-//                                two-layer error corrector trained with the
-//                                Eq 12 asymmetric loss.
+//                                two-layer error corrector (SsaPlusCorrector)
+//                                trained with the Eq 12 asymmetric loss.
 //
 // The deep models are deliberately small versions of their namesakes (the
 // paper's point is that over-parameterized nets are too slow to retrain
@@ -13,6 +13,7 @@
 #ifndef IPOOL_FORECAST_MODELS_H_
 #define IPOOL_FORECAST_MODELS_H_
 
+#include <array>
 #include <memory>
 #include <optional>
 #include <string>
@@ -122,10 +123,64 @@ class InceptionTimeForecaster : public DeepForecasterBase {
   std::unique_ptr<nn::Dense> head_;
 };
 
-/// The deployed hybrid model (§5.3): an SSA forecaster plus a shallow
-/// two-layer corrector (~30 parameters) that learns the over/undershoot
-/// needed to hit the target wait time, trained with the Eq 12 loss on the
-/// SSA residuals.
+/// SSA+'s error corrector (§5.3): 7 features -> 4 ReLU hidden units -> one
+/// additive correction (37 parameters), trained full-batch with Adam on the
+/// mean Eq 12 asymmetric loss.
+///
+/// Training and inference run one fused forward/backward loop over the
+/// parameter arrays instead of an autograd graph per sample. The loop calls
+/// simd::Dot / simd::MulAdd in the same order, with the same skip-on-zero
+/// rules, as the nn ops it stands for (Dense = MatMul + RowBroadcastAdd,
+/// Relu, AddScalar, AsymmetricLoss), so the trained parameters are
+/// bit-identical to autograd training. The parameters are nn::Dense tensors
+/// (Glorot init from the caller's Rng) and nn::Adam updates them.
+class SsaPlusCorrector {
+ public:
+  static constexpr size_t kFeatures = 7;
+  static constexpr size_t kHidden = 4;
+
+  /// Training samples in scaled units.
+  struct Samples {
+    std::vector<double> features;  // size() rows of kFeatures, row-major
+    std::vector<double> ssa_pred;
+    std::vector<double> truth;
+
+    void Add(const double* row, double ssa_pred_scaled, double truth_scaled);
+    size_t size() const { return truth.size(); }
+    const double* row(size_t i) const { return features.data() + i * kFeatures; }
+  };
+
+  /// Glorot-initializes the hidden layer, then the output layer, from rng.
+  explicit SsaPlusCorrector(Rng& rng);
+
+  /// `epochs` Adam steps (lr 0.03) on the mean loss of ssa_pred + Delta over
+  /// samples [0, num_train).
+  void Train(const Samples& samples, size_t num_train, size_t epochs,
+             double alpha_prime);
+
+  /// The additive correction for one feature row.
+  double Delta(const double* features) const;
+
+  /// Hidden weight {kFeatures, kHidden}, hidden bias, output weight
+  /// {kHidden, 1}, output bias (shared handles).
+  const std::vector<nn::Tensor>& Parameters() const { return params_; }
+
+ private:
+  /// Copies the hidden weight transposed into w1t_.
+  void PackHidden();
+  /// Forward pass; fills the post-ReLU hidden activations.
+  double Forward(const double* features, double* hidden) const;
+
+  std::vector<nn::Tensor> params_;
+  /// Hidden weight transposed ({kHidden, kFeatures}), so each hidden unit is
+  /// one contiguous Dot, as MatMul's forward packs it. Refreshed whenever the
+  /// weight changes (once per epoch).
+  std::array<double, kHidden * kFeatures> w1t_{};
+};
+
+/// The deployed hybrid model (§5.3): an SSA forecaster plus the
+/// SsaPlusCorrector that learns the over/undershoot needed to hit the target
+/// wait time, trained with the Eq 12 loss on the SSA residuals.
 class SsaPlusForecaster : public Forecaster {
  public:
   explicit SsaPlusForecaster(const ForecastParams& params) : params_(params) {}
@@ -145,16 +200,16 @@ class SsaPlusForecaster : public Forecaster {
   const SsaForecaster* ssa() const { return ssa_ ? &*ssa_ : nullptr; }
 
  private:
-  /// Corrector feature vector for a forecast step: the SSA prediction,
-  /// time-of-day and minute-of-hour phases (scheduled jobs surge at round
-  /// hours), the recent demand level at forecast time and the relative
-  /// position within the horizon — all available at inference.
-  static std::vector<double> Features(double ssa_pred_scaled,
-                                      double time_of_day_fraction,
-                                      double time_of_hour_fraction,
-                                      double recent_level_scaled,
-                                      double step_fraction);
-  static constexpr size_t kFeatureCount = 7;
+  Status FitImpl(const TimeSeries& history, bool warm);
+
+  /// Writes the corrector feature row for a forecast step: the SSA
+  /// prediction, time-of-day and minute-of-hour phases (scheduled jobs surge
+  /// at round hours), the recent demand level at forecast time and the
+  /// relative position within the horizon — all available at inference.
+  static void Features(double ssa_pred_scaled, double time_of_day_fraction,
+                       double time_of_hour_fraction,
+                       double recent_level_scaled, double step_fraction,
+                       double* row);
 
   ForecastParams params_;
   bool fitted_ = false;
@@ -162,15 +217,11 @@ class SsaPlusForecaster : public Forecaster {
   double interval_seconds_ = kDefaultIntervalSeconds;
   double history_end_time_ = 0.0;
   std::optional<SsaForecaster> ssa_;
-  std::unique_ptr<nn::Dense> corrector1_;
-  std::unique_ptr<nn::Dense> corrector2_;
+  std::optional<SsaPlusCorrector> corrector_;
   /// False when the held-out validation showed the correction hurting; the
   /// model then behaves as plain SSA.
   bool use_corrector_ = true;
   double recent_level_scaled_ = 0.0;
-  /// True while a Refit is in flight (routes the final SSA fit through its
-  /// warm path).
-  bool refitting_ = false;
 };
 
 }  // namespace ipool

@@ -186,7 +186,8 @@ Status SsaForecaster::FitImpl(const TimeSeries& history, bool allow_warm) {
       // change the model vs the Jacobi reference and make refits drift from
       // cold fits. When the energy threshold reaches into that cluster the
       // dense oracle below decides, exactly as before the fast path.
-      if (sub.ok() && sub->converged &&
+      const bool converged = sub.ok() && sub->converged;
+      if (converged &&
           energy_rank(sub->values,
                       std::min(sub->values.size(), sub->vectors.cols())) <=
               sub->converged_columns) {
@@ -197,6 +198,14 @@ Status SsaForecaster::FitImpl(const TimeSeries& history, bool allow_warm) {
             sub->used_dense_fallback ? FitPath::kJacobi : FitPath::kSubspace;
         warm_basis_hit_ = basis_usable;
         solved = true;
+      } else if (metrics != nullptr) {
+        // Why the dense oracle runs: the iteration stalled (or failed), or
+        // it converged but the energy-selected rank reaches past the
+        // resolved head into the noise cluster.
+        metrics
+            ->GetCounter("ipool_ssa_subspace_rejected_total",
+                         {{"reason", converged ? "head_short" : "unconverged"}})
+            ->Add();
       }
     }
     if (!solved) {

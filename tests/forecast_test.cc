@@ -2,18 +2,32 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <iterator>
 #include <string>
+#include <thread>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
+#include "common/strings.h"
+#include "exec/thread_pool.h"
 #include "forecast/deep_base.h"
 #include "forecast/forecaster.h"
 #include "forecast/models.h"
 #include "forecast/ssa.h"
+#include "linalg/simd_kernels.h"
+#include "nn/layers.h"
+#include "nn/loss.h"
+#include "nn/ops.h"
+#include "nn/optimizer.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "tsdata/metrics.h"
 #include "tsdata/time_series.h"
+#include "workload/demand_generator.h"
 
 namespace ipool {
 namespace {
@@ -501,6 +515,38 @@ TEST(SsaFastPathTest, FitMetricsAndSpansRecorded) {
   }
 }
 
+TEST(SsaFastPathTest, SubspaceRejectionsCountedByReason) {
+  // A Table-1 pool at the serve shape (480 bins, L = 96): the subspace
+  // iteration converges, but the energy threshold keeps components past its
+  // resolved head, so the dense oracle decides.
+  WorkloadConfig config = RegionNodeProfile(Region::kWestUs2, NodeSize::kSmall,
+                                            /*seed=*/5);
+  config.duration_days = 0.5;
+  auto generator = DemandGenerator::Create(config);
+  ASSERT_TRUE(generator.ok());
+  obs::MetricsRegistry metrics;
+  SsaForecaster::Options options;
+  options.window = 96;
+  options.obs.metrics = &metrics;
+  SsaForecaster noisy(options);
+  ASSERT_TRUE(noisy.Fit(generator->GenerateBinned().Slice(960, 1440)).ok());
+  EXPECT_EQ(noisy.fit_path(), SsaForecaster::FitPath::kJacobi);
+  auto rejected = [&](const char* reason) {
+    return metrics
+        .GetCounter("ipool_ssa_subspace_rejected_total", {{"reason", reason}})
+        ->value();
+  };
+  EXPECT_EQ(rejected("head_short"), 1u);
+  EXPECT_EQ(rejected("unconverged"), 0u);
+
+  // A clean periodic series is accepted on the subspace path: no count.
+  SsaForecaster clean(options);
+  ASSERT_TRUE(clean.Fit(SineSeries(480)).ok());
+  EXPECT_EQ(clean.fit_path(), SsaForecaster::FitPath::kSubspace);
+  EXPECT_EQ(rejected("head_short"), 1u);
+  EXPECT_EQ(rejected("unconverged"), 0u);
+}
+
 TEST(SsaPlusTest, RefitWarmStartsTheFinalSsaFit) {
   ForecastParams params = FastParams();
   params.window = 48;
@@ -525,6 +571,290 @@ TEST(SsaPlusTest, RefitWarmStartsTheFinalSsaFit) {
   ASSERT_NE(model.ssa(), nullptr);
   EXPECT_TRUE(model.ssa()->warm_basis_hit());
 }
+
+// ---- SSA+ corrector: fused kernel vs autograd ----------------------------------
+
+std::vector<uint64_t> Bits(const std::vector<double>& values) {
+  std::vector<uint64_t> bits(values.size());
+  std::memcpy(bits.data(), values.data(), values.size() * sizeof(double));
+  return bits;
+}
+
+// Corrector samples shaped like SSA+'s anchor probes: a scaled SSA
+// prediction, day/hour phases, a recent level and the step position, with
+// the exact zeros real rows carry (step 0 of every chunk, phase 0 at
+// midnight and on the hour) and truths on both sides of the prediction.
+SsaPlusCorrector::Samples CorrectorSamples(uint64_t seed, size_t count) {
+  Rng rng(seed);
+  SsaPlusCorrector::Samples samples;
+  constexpr size_t kChunk = 16;
+  for (size_t i = 0; i < count; ++i) {
+    const size_t step = i % kChunk;
+    const double t = 1800.0 * static_cast<double>(i / kChunk) +
+                     30.0 * static_cast<double>(step);
+    const double tod = std::fmod(t, 86400.0) / 86400.0;
+    const double toh = std::fmod(t, 3600.0) / 3600.0;
+    const double pred = rng.Uniform(0.1, 0.9);
+    const double row[SsaPlusCorrector::kFeatures] = {
+        pred,
+        std::sin(2 * M_PI * tod),
+        std::cos(2 * M_PI * tod),
+        std::sin(2 * M_PI * toh),
+        std::cos(2 * M_PI * toh),
+        0.5 + 0.1 * static_cast<double>(i / kChunk % 3),
+        static_cast<double>(step) / static_cast<double>(kChunk)};
+    samples.Add(row, pred, std::max(0.0, pred + rng.Normal(0.05, 0.2)));
+  }
+  return samples;
+}
+
+// The autograd trainer SSA+ ran before the fused kernel, moved here verbatim
+// as the reference the kernel must reproduce bit for bit.
+void AutogradTrain(nn::Dense& corrector1, nn::Dense& corrector2,
+                   const SsaPlusCorrector::Samples& samples, size_t num_train,
+                   size_t corrector_epochs, double alpha_prime) {
+  std::vector<nn::Tensor> parameters =
+      nn::CollectParameters({&corrector1, &corrector2});
+  nn::Adam adam(parameters, 0.03);
+  for (size_t epoch = 0; epoch < corrector_epochs; ++epoch) {
+    adam.ZeroGrad();
+    for (size_t i = 0; i < num_train; ++i) {
+      nn::Tensor features = nn::Tensor::FromVector(std::vector<double>(
+          samples.row(i), samples.row(i) + SsaPlusCorrector::kFeatures));
+      nn::Tensor delta =
+          corrector2.Forward(nn::Relu(corrector1.Forward(features)));
+      nn::Tensor corrected = nn::AddScalar(delta, samples.ssa_pred[i]);
+      nn::Tensor target = nn::Tensor::FromVector({samples.truth[i]});
+      nn::Tensor loss = nn::AsymmetricLoss(corrected, target, alpha_prime);
+      ASSERT_TRUE(loss.Backward().ok());
+    }
+    const double inv = 1.0 / static_cast<double>(num_train);
+    for (nn::Tensor& p : parameters) {
+      for (double& g : p.mutable_grad()) g *= inv;
+    }
+    adam.Step();
+  }
+}
+
+TEST(SsaPlusCorrectorTest, FusedTrainingIsBitIdenticalToAutograd) {
+  const SsaPlusCorrector::Samples samples = CorrectorSamples(83, 128);
+  const size_t num_train = samples.size() * 3 / 4;
+  for (simd::IsaLevel isa : {simd::IsaLevel::kScalar, simd::IsaLevel::kAvx2}) {
+    if (isa == simd::IsaLevel::kAvx2 && !simd::Avx2Available()) continue;
+    simd::ScopedForceIsa force(isa);
+    for (double alpha : {0.0, 0.05, 0.3, 0.5, 0.9, 1.0}) {
+      SCOPED_TRACE(StrFormat("isa %s alpha' %.2f", simd::IsaName(isa), alpha));
+      Rng fused_rng(7);
+      SsaPlusCorrector fused(fused_rng);
+      fused.Train(samples, num_train, 60, alpha);
+
+      Rng reference_rng(7);
+      nn::Dense corrector1(SsaPlusCorrector::kFeatures,
+                           SsaPlusCorrector::kHidden, reference_rng);
+      nn::Dense corrector2(SsaPlusCorrector::kHidden, 1, reference_rng);
+      AutogradTrain(corrector1, corrector2, samples, num_train, 60, alpha);
+
+      const std::vector<nn::Tensor> reference =
+          nn::CollectParameters({&corrector1, &corrector2});
+      ASSERT_EQ(fused.Parameters().size(), reference.size());
+      for (size_t p = 0; p < reference.size(); ++p) {
+        EXPECT_EQ(Bits(fused.Parameters()[p].value()),
+                  Bits(reference[p].value()))
+            << "parameter " << p;
+      }
+      // Inference: the fused forward against Dense::Forward on every row.
+      for (size_t i = 0; i < samples.size(); ++i) {
+        nn::Tensor features = nn::Tensor::FromVector(std::vector<double>(
+            samples.row(i), samples.row(i) + SsaPlusCorrector::kFeatures));
+        const double expected =
+            corrector2.Forward(nn::Relu(corrector1.Forward(features))).scalar();
+        EXPECT_EQ(Bits({fused.Delta(samples.row(i))}), Bits({expected}))
+            << "row " << i;
+      }
+    }
+  }
+}
+
+// ---- SSA+ golden bytes --------------------------------------------------------
+//
+// SSA+ forecasts pinned byte for byte: Forecast(120) hashes (FNV-1a over the
+// IEEE bytes) plus whether the validation gate engaged the corrector, over
+// six Table-1 profiles and a clean sine at four alpha' values, and one warm
+// Refit per series. The table was captured from the autograd-trained
+// corrector; every later corrector kernel must reproduce it exactly, at every
+// instruction set and thread count.
+
+constexpr size_t kGoldenBins = 256;
+
+uint64_t HashDoubles(const std::vector<double>& values) {
+  uint64_t hash = 14695981039346656037ull;
+  for (double v : values) {
+    uint64_t bits = 0;
+    std::memcpy(&bits, &v, sizeof bits);
+    for (int byte = 0; byte < 8; ++byte) {
+      hash ^= (bits >> (8 * byte)) & 0xffu;
+      hash *= 1099511628211ull;
+    }
+  }
+  return hash;
+}
+
+// kGoldenBins + 2 points (the warm case slides by two bins): Table-1 rows
+// sliced from 08:00, when their diurnal ramp is under way.
+std::vector<std::pair<std::string, TimeSeries>> GoldenSeries() {
+  std::vector<std::pair<std::string, TimeSeries>> out;
+  for (Region region : {Region::kWestUs2, Region::kEastUs2}) {
+    for (NodeSize size : {NodeSize::kSmall, NodeSize::kMedium, NodeSize::kLarge}) {
+      WorkloadConfig config = RegionNodeProfile(region, size, /*seed=*/11);
+      config.duration_days = 0.5;
+      auto generator = DemandGenerator::Create(config);
+      EXPECT_TRUE(generator.ok());
+      const size_t begin = 8 * 120;  // 08:00 at 30 s bins
+      out.emplace_back(RegionToString(region) + "-" + NodeSizeToString(size),
+                       generator->GenerateBinned().Slice(
+                           begin, begin + kGoldenBins + 2));
+    }
+  }
+  out.emplace_back("sine", SineSeries(kGoldenBins + 2, 6.0, 10.0, 48.0));
+  return out;
+}
+
+struct GoldenCase {
+  const char* series;
+  double alpha_prime;
+  bool refit;  // Fit on [0, n) then a warm Refit on [2, n + 2)
+  uint64_t forecast_hash;
+  bool use_corrector;
+};
+
+constexpr GoldenCase kSsaPlusGolden[] = {
+    {"West US 2-Small", 0.05, false, 0xe25cc286a37975ffull, true},
+    {"West US 2-Small", 0.30, false, 0x0680e3caa88362c8ull, true},
+    {"West US 2-Small", 0.50, false, 0xbf7a780e5285bb3dull, false},
+    {"West US 2-Small", 0.90, false, 0x2fc80fff0bfd07d3ull, true},
+    {"West US 2-Small", 0.90, true, 0x3806d416edd8f00cull, true},
+    {"West US 2-Medium", 0.05, false, 0x2411a9f6eda999cfull, true},
+    {"West US 2-Medium", 0.30, false, 0x01ef811ff31a8c79ull, true},
+    {"West US 2-Medium", 0.50, false, 0x9cae4c43f6d118a6ull, false},
+    {"West US 2-Medium", 0.90, false, 0xbcdfe08b11bd9683ull, true},
+    {"West US 2-Medium", 0.90, true, 0x11887d654018d657ull, true},
+    {"West US 2-Large", 0.05, false, 0x60b4b975ca6880c7ull, true},
+    {"West US 2-Large", 0.30, false, 0x8780db271c9ccf8bull, true},
+    {"West US 2-Large", 0.50, false, 0xe1851ec75f696538ull, false},
+    {"West US 2-Large", 0.90, false, 0x10160a50fdeea6e5ull, true},
+    {"West US 2-Large", 0.90, true, 0x867222f13f6f63e3ull, true},
+    {"East US 2-Small", 0.05, false, 0xec13552435e3e313ull, true},
+    {"East US 2-Small", 0.30, false, 0x847dc08a5296f3b2ull, true},
+    {"East US 2-Small", 0.50, false, 0x5e86de576818bf2eull, false},
+    {"East US 2-Small", 0.90, false, 0x6c8b62d002e19125ull, true},
+    {"East US 2-Small", 0.90, true, 0x1dd00941fbbfffc1ull, true},
+    {"East US 2-Medium", 0.05, false, 0xcea617f92a0721c2ull, true},
+    {"East US 2-Medium", 0.30, false, 0xe0a72a2b9dda3df0ull, true},
+    {"East US 2-Medium", 0.50, false, 0xe5c5fa6b71ec437aull, false},
+    {"East US 2-Medium", 0.90, false, 0xde05da56223fda28ull, true},
+    {"East US 2-Medium", 0.90, true, 0x2ffa236a1cbd967full, true},
+    {"East US 2-Large", 0.05, false, 0xb9d904c7c2934be2ull, true},
+    {"East US 2-Large", 0.30, false, 0x29871e13b1fe7ba8ull, true},
+    {"East US 2-Large", 0.50, false, 0x25d45378afdf502bull, false},
+    {"East US 2-Large", 0.90, false, 0xbb5a41028e2e2dc5ull, true},
+    {"East US 2-Large", 0.90, true, 0xa4c47668918151c7ull, true},
+    {"sine", 0.05, false, 0xb15648c91e8d81edull, false},
+    {"sine", 0.30, false, 0xb15648c91e8d81edull, false},
+    {"sine", 0.50, false, 0xb15648c91e8d81edull, false},
+    {"sine", 0.90, false, 0xb15648c91e8d81edull, false},
+    {"sine", 0.90, true, 0xca621a48d24fee5aull, true},
+};
+
+std::string GoldenLine(const GoldenCase& c) {
+  return StrFormat("    {\"%s\", %.2f, %s, 0x%016llxull, %s},", c.series,
+                   c.alpha_prime, c.refit ? "true" : "false",
+                   static_cast<unsigned long long>(c.forecast_hash),
+                   c.use_corrector ? "true" : "false");
+}
+
+std::vector<GoldenCase> ComputeSsaPlusGolden(exec::ThreadPool* pool) {
+  std::vector<GoldenCase> out;
+  static const auto series = GoldenSeries();
+  for (const auto& [name, full] : series) {
+    for (double alpha : {0.05, 0.3, 0.5, 0.9}) {
+      for (bool refit : {false, true}) {
+        if (refit && alpha != 0.9) continue;
+        ForecastParams params;
+        params.window = 32;
+        params.horizon = 16;
+        params.alpha_prime = alpha;
+        params.exec.pool = pool;
+        ForecastWarmState warm;
+        params.ssa_warm = &warm.ssa;
+        SsaPlusForecaster model(params);
+        TimeSeries last = full.Slice(0, kGoldenBins);
+        EXPECT_TRUE(model.Fit(last).ok());
+        if (refit) {
+          last = full.Slice(2, kGoldenBins + 2);
+          EXPECT_TRUE(model.Refit(last).ok());
+        }
+        auto forecast = model.Forecast(120);
+        EXPECT_TRUE(forecast.ok());
+        // The corrector is engaged iff SSA+ differs from its own base SSA.
+        SsaForecaster::Options options;
+        options.window = params.window;
+        options.max_rank = params.ssa_rank;
+        options.seed = params.seed;
+        SsaForecaster base(options);
+        EXPECT_TRUE(base.Fit(last).ok());
+        auto base_forecast = base.Forecast(120);
+        EXPECT_TRUE(base_forecast.ok());
+        out.push_back({name.c_str(), alpha, refit, HashDoubles(*forecast),
+                       *forecast != *base_forecast});
+      }
+    }
+  }
+  return out;
+}
+
+class SsaPlusGoldenTest
+    : public ::testing::TestWithParam<std::tuple<simd::IsaLevel, size_t>> {};
+
+TEST_P(SsaPlusGoldenTest, ForecastBytesMatchTheAutogradCapture) {
+  const auto [isa, threads] = GetParam();
+  if (isa == simd::IsaLevel::kAvx2 && !simd::Avx2Available()) {
+    GTEST_SKIP() << "no AVX2 on this CPU";
+  }
+  simd::ScopedForceIsa force(isa);
+  exec::ThreadPool pool(
+      threads > 0 ? threads
+                  : std::max(1u, std::thread::hardware_concurrency()));
+  const std::vector<GoldenCase> actual = ComputeSsaPlusGolden(&pool);
+  bool all_match = actual.size() == std::size(kSsaPlusGolden);
+  for (size_t i = 0; all_match && i < actual.size(); ++i) {
+    all_match = GoldenLine(actual[i]) == GoldenLine(kSsaPlusGolden[i]);
+  }
+  if (!all_match) {
+    std::string table;
+    for (const GoldenCase& c : actual) table += GoldenLine(c) + "\n";
+    ADD_FAILURE() << "SSA+ forecasts drifted from the golden capture; "
+                     "actual table:\n"
+                  << table;
+  }
+  size_t engaged = 0;
+  for (const GoldenCase& c : actual) engaged += c.use_corrector ? 1 : 0;
+  // Both gate outcomes are covered.
+  EXPECT_GT(engaged, 0u);
+  EXPECT_LT(engaged, actual.size());
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    IsaAndThreads, SsaPlusGoldenTest,
+    ::testing::Combine(
+        ::testing::Values(simd::IsaLevel::kScalar, simd::IsaLevel::kAvx2),
+        // Pool sizes; 0 = one thread per hardware thread.
+        ::testing::Values(size_t{1}, size_t{2}, size_t{0})),
+    [](const auto& info) {
+      const size_t threads = std::get<1>(info.param);
+      return std::string(simd::IsaName(std::get<0>(info.param))) + "_" +
+             (threads == 0 ? std::string("hw") : std::to_string(threads)) +
+             "threads";
+    });
 
 TEST(DeepModelTest, EarlyStoppingRunsFewerEpochs) {
   TimeSeries ts = SineSeries(320);  // clean signal: validation converges fast
