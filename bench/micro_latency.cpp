@@ -76,8 +76,8 @@ void BM_SaaOptimizerLp(benchmark::State& state) {
 BENCHMARK(BM_SaaOptimizerLp)->Arg(60)->Arg(120)->Unit(benchmark::kMillisecond);
 
 // ---- SIMD microkernels ----------------------------------------------------
-// Scalar vs dispatched (AVX2+FMA where the CPU has it) cost of the two
-// primitives every nn/linalg/SSA inner loop is built from. Arg 0 is the
+// Scalar vs dispatched (AVX2+FMA where the CPU has it) cost of the
+// primitives the nn/linalg/SSA inner loops are built from. Arg 0 is the
 // vector length (96 = one SSA window row, 1024 = a deep-model GEMM tile);
 // arg 1 == 1 pins the scalar reference via ScopedForceIsa. Results are
 // bit-identical between the two rows by the simd_kernels.h contract — these
@@ -123,6 +123,29 @@ void BM_SimdMulAdd(benchmark::State& state) {
                           static_cast<int64_t>(n));
 }
 BENCHMARK(BM_SimdMulAdd)
+    ->Args({96, 1})->Args({96, 0})->Args({1024, 1})->Args({1024, 0})
+    ->Unit(benchmark::kNanosecond);
+
+// One Jacobi rotation of two rows (96 = one SSA-window row of A or V^T).
+void BM_SimdRotate(benchmark::State& state) {
+  const size_t n = static_cast<size_t>(state.range(0));
+  std::vector<double> x = KernelOperand(n, 0.0);
+  std::vector<double> y = KernelOperand(n, 2.0);
+  const double c = std::cos(1e-3);
+  const double s = std::sin(1e-3);
+  std::optional<simd::ScopedForceIsa> force;
+  if (state.range(1) != 0) force.emplace(simd::IsaLevel::kScalar);
+  for (auto _ : state) {
+    simd::Rotate(x.data(), y.data(), c, s, n);
+    benchmark::DoNotOptimize(x.data());
+    benchmark::DoNotOptimize(y.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetLabel(simd::IsaName(simd::ActiveIsa()));
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(n));
+}
+BENCHMARK(BM_SimdRotate)
     ->Args({96, 1})->Args({96, 0})->Args({1024, 1})->Args({1024, 0})
     ->Unit(benchmark::kNanosecond);
 
@@ -192,18 +215,41 @@ Matrix SsaStyleGram(size_t window) {
   auto gram = HankelGram(y, window);
   return std::move(gram).value();
 }
+
+// The Gram a live-plane SSA fit actually solves: 480 bins (the serve shape)
+// of the east-medium Table-1 profile from 08:00, scaled like SsaForecaster.
+// Its noise floor reaches the rank-selection energy, so the subspace path
+// rejects it as head_short and every fit at this shape runs dense Jacobi.
+Matrix Table1ServeGram(size_t window) {
+  WorkloadConfig config =
+      RegionNodeProfile(Region::kEastUs2, NodeSize::kMedium, /*seed=*/11);
+  config.duration_days = 0.5;
+  auto generator = DemandGenerator::Create(config);
+  const size_t begin = 8 * 120;  // 08:00 at 30 s bins
+  const TimeSeries history =
+      generator->GenerateBinned().Slice(begin, begin + 480);
+  const double scale = std::max(1.0, history.Max());
+  Matrix gram = std::move(HankelGram(history.values(), window)).value();
+  for (double& g : gram.data()) g *= 1.0 / (scale * scale);
+  return gram;
+}
 }  // namespace
 
-// Old SSA eigensolve: full dense Jacobi, O(L^3) per sweep, all L pairs.
+// Dense Jacobi, all L pairs, O(L^3) per sweep. Arg 1 picks the Gram: 0 = the
+// gapped SsaStyleGram, 1 = the head_short Table1ServeGram the live tick runs.
 void BM_TopEigenJacobi(benchmark::State& state) {
-  const Matrix gram = SsaStyleGram(static_cast<size_t>(state.range(0)));
+  const size_t window = static_cast<size_t>(state.range(0));
+  const bool table1 = state.range(1) != 0;
+  const Matrix gram = table1 ? Table1ServeGram(window) : SsaStyleGram(window);
   for (auto _ : state) {
     auto eig = SymmetricEigen(gram);
     benchmark::DoNotOptimize(eig);
   }
-  state.SetLabel("dense Jacobi, all pairs");
+  state.SetLabel(table1 ? "dense Jacobi, Table-1 serve Gram"
+                        : "dense Jacobi, gapped Gram");
 }
-BENCHMARK(BM_TopEigenJacobi)->Arg(96)->Arg(256)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_TopEigenJacobi)->Args({96, 0})->Args({256, 0})->Args({96, 1})
+    ->Unit(benchmark::kMillisecond);
 
 // New SSA eigensolve: block power + Rayleigh-Ritz for the top max_rank
 // pairs only, O(L^2 * r) per iteration.

@@ -5,8 +5,23 @@
 #include <numeric>
 
 #include "common/strings.h"
+#include "linalg/simd_kernels.h"
 
 namespace ipool {
+
+namespace {
+
+// Row stride of the solver's working matrices, in doubles. Each rotation
+// walks a column pair with this stride; a stride of an even number of cache
+// lines (n = 96 is 12 lines of 64 bytes) folds that walk onto a fraction of
+// the L1 sets and evicts itself, so rows are padded to an odd line count.
+size_t PaddedStride(size_t n) {
+  size_t lines = (n + 7) / 8;
+  if (lines % 2 == 0) ++lines;
+  return lines * 8;
+}
+
+}  // namespace
 
 Result<EigenDecomposition> SymmetricEigen(const Matrix& input,
                                           size_t max_sweeps, double tol) {
@@ -16,18 +31,29 @@ Result<EigenDecomposition> SymmetricEigen(const Matrix& input,
                   input.rows(), input.cols()));
   }
   const size_t n = input.rows();
-  Matrix a = input;
-  Matrix v = Matrix::Identity(n);
+  const size_t ld = PaddedStride(n);
+  // `a` is a full (both-triangle) working copy of the input. `vt` accumulates
+  // the eigenvectors transposed: row k of vt is column k of V, so a
+  // rotation's update of V, like its row update of A, touches two contiguous
+  // rows and runs through simd::Rotate.
+  std::vector<double> a(n * ld, 0.0);
+  std::vector<double> vt(n * ld, 0.0);
+  for (size_t i = 0; i < n; ++i) {
+    std::copy_n(input.data().begin() + static_cast<ptrdiff_t>(i * n), n,
+                a.begin() + static_cast<ptrdiff_t>(i * ld));
+    vt[i * ld + i] = 1.0;
+  }
 
   auto exact_off2 = [&]() {
     double s = 0.0;
     for (size_t i = 0; i < n; ++i) {
-      for (size_t j = i + 1; j < n; ++j) s += a(i, j) * a(i, j);
+      const double* row = &a[i * ld];
+      for (size_t j = i + 1; j < n; ++j) s += row[j] * row[j];
     }
     return s;
   };
 
-  const double scale = std::max(1.0, a.Norm());
+  const double scale = std::max(1.0, input.Norm());
   // Convergence when sqrt(2 * off2) <= tol * scale.
   const double off2_limit = 0.5 * (tol * scale) * (tol * scale);
   // Each Jacobi rotation zeroes a(p, q) and preserves the off-diagonal
@@ -45,11 +71,11 @@ Result<EigenDecomposition> SymmetricEigen(const Matrix& input,
     }
     for (size_t p = 0; p + 1 < n; ++p) {
       for (size_t q = p + 1; q < n; ++q) {
-        const double apq = a(p, q);
+        const double apq = a[p * ld + q];
         if (std::fabs(apq) <= 1e-300) continue;
         off2 = std::max(0.0, off2 - apq * apq);
-        const double app = a(p, p);
-        const double aqq = a(q, q);
+        const double app = a[p * ld + p];
+        const double aqq = a[q * ld + q];
         const double theta = (aqq - app) / (2.0 * apq);
         // Smaller-magnitude root for numerical stability.
         const double t = (theta >= 0.0 ? 1.0 : -1.0) /
@@ -57,158 +83,52 @@ Result<EigenDecomposition> SymmetricEigen(const Matrix& input,
         const double c = 1.0 / std::sqrt(t * t + 1.0);
         const double s = t * c;
 
-        for (size_t k = 0; k < n; ++k) {
-          const double akp = a(k, p);
-          const double akq = a(k, q);
-          a(k, p) = c * akp - s * akq;
-          a(k, q) = s * akp + c * akq;
+        // Columns p and q of A first (the strided walk), then rows p and q,
+        // which read the four (p|q, p|q) entries the column pass rewrote.
+        // The walk takes four rows per step and issues their loads before
+        // any store: the compiler cannot prove the rows disjoint, so a
+        // one-row loop serializes every load behind the previous stores.
+        double* row = a.data();
+        size_t k = 0;
+        for (; k + 4 <= n; k += 4, row += 4 * ld) {
+          double x[4];
+          double y[4];
+          for (size_t u = 0; u < 4; ++u) {
+            x[u] = row[u * ld + p];
+            y[u] = row[u * ld + q];
+          }
+          for (size_t u = 0; u < 4; ++u) {
+            row[u * ld + p] = c * x[u] - s * y[u];
+            row[u * ld + q] = s * x[u] + c * y[u];
+          }
         }
-        for (size_t k = 0; k < n; ++k) {
-          const double apk = a(p, k);
-          const double aqk = a(q, k);
-          a(p, k) = c * apk - s * aqk;
-          a(q, k) = s * apk + c * aqk;
+        for (; k < n; ++k, row += ld) {
+          const double akp = row[p];
+          const double akq = row[q];
+          row[p] = c * akp - s * akq;
+          row[q] = s * akp + c * akq;
         }
-        for (size_t k = 0; k < n; ++k) {
-          const double vkp = v(k, p);
-          const double vkq = v(k, q);
-          v(k, p) = c * vkp - s * vkq;
-          v(k, q) = s * vkp + c * vkq;
-        }
+        simd::Rotate(&a[p * ld], &a[q * ld], c, s, n);
+        simd::Rotate(&vt[p * ld], &vt[q * ld], c, s, n);
       }
     }
   }
 
   std::vector<size_t> order(n);
   std::iota(order.begin(), order.end(), 0);
-  std::sort(order.begin(), order.end(),
-            [&](size_t i, size_t j) { return a(i, i) > a(j, j); });
+  std::sort(order.begin(), order.end(), [&](size_t i, size_t j) {
+    return a[i * ld + i] > a[j * ld + j];
+  });
 
   EigenDecomposition out;
   out.values.resize(n);
   out.vectors = Matrix(n, n);
   for (size_t i = 0; i < n; ++i) {
-    out.values[i] = a(order[i], order[i]);
-    for (size_t r = 0; r < n; ++r) out.vectors(r, i) = v(r, order[i]);
+    out.values[i] = a[order[i] * ld + order[i]];
+    const double* v = &vt[order[i] * ld];
+    for (size_t r = 0; r < n; ++r) out.vectors(r, i) = v[r];
   }
   return out;
-}
-
-Result<Svd> ThinSvd(const Matrix& a, double rank_tol) {
-  if (a.empty()) return Status::InvalidArgument("ThinSvd on empty matrix");
-  const size_t m = a.rows();
-  const size_t n = a.cols();
-  // Work with the smaller Gram matrix: A^T A (n x n) or A A^T (m x m).
-  const bool use_ata = n <= m;
-  // The Gram product routes through the blocked MatMul so it picks up cache
-  // blocking and the ambient exec pool. Both triangles accumulate identical
-  // products in identical (k-ascending) order, so the result is exactly
-  // symmetric — no symmetrization pass needed.
-  const Matrix at = a.Transpose();
-  IPOOL_ASSIGN_OR_RETURN(Matrix gram, use_ata ? MatMul(at, a) : MatMul(a, at));
-
-  IPOOL_ASSIGN_OR_RETURN(EigenDecomposition eig, SymmetricEigen(gram));
-
-  const double max_ev = eig.values.empty() ? 0.0 : std::max(eig.values[0], 0.0);
-  const double max_sv = std::sqrt(max_ev);
-  const double cutoff = rank_tol * std::max(max_sv, 1e-300);
-
-  size_t rank = 0;
-  for (double ev : eig.values) {
-    if (ev > 0.0 && std::sqrt(ev) > cutoff) ++rank;
-  }
-  if (rank == 0) rank = 1;  // keep at least the dominant direction
-
-  Svd out;
-  out.singular_values.resize(rank);
-  out.u = Matrix(m, rank);
-  out.v = Matrix(n, rank);
-  for (size_t i = 0; i < rank; ++i) {
-    const double sv = std::sqrt(std::max(eig.values[i], 0.0));
-    out.singular_values[i] = sv;
-    if (use_ata) {
-      // eigenvectors are right singular vectors; u_i = A v_i / sv.
-      for (size_t r = 0; r < n; ++r) out.v(r, i) = eig.vectors(r, i);
-      for (size_t r = 0; r < m; ++r) {
-        double acc = 0.0;
-        for (size_t k = 0; k < n; ++k) acc += a(r, k) * eig.vectors(k, i);
-        out.u(r, i) = sv > 0.0 ? acc / sv : 0.0;
-      }
-    } else {
-      // eigenvectors are left singular vectors; v_i = A^T u_i / sv.
-      for (size_t r = 0; r < m; ++r) out.u(r, i) = eig.vectors(r, i);
-      for (size_t r = 0; r < n; ++r) {
-        double acc = 0.0;
-        for (size_t k = 0; k < m; ++k) acc += a(k, r) * eig.vectors(k, i);
-        out.v(r, i) = sv > 0.0 ? acc / sv : 0.0;
-      }
-    }
-  }
-  return out;
-}
-
-Result<std::vector<double>> CholeskySolve(const Matrix& a,
-                                          const std::vector<double>& b) {
-  if (a.rows() != a.cols() || a.rows() != b.size()) {
-    return Status::InvalidArgument("CholeskySolve shape mismatch");
-  }
-  const size_t n = a.rows();
-  Matrix l(n, n);
-  for (size_t i = 0; i < n; ++i) {
-    for (size_t j = 0; j <= i; ++j) {
-      double acc = a(i, j);
-      for (size_t k = 0; k < j; ++k) acc -= l(i, k) * l(j, k);
-      if (i == j) {
-        if (acc <= 0.0) {
-          return Status::FailedPrecondition(
-              "matrix not positive definite in CholeskySolve");
-        }
-        l(i, i) = std::sqrt(acc);
-      } else {
-        l(i, j) = acc / l(j, j);
-      }
-    }
-  }
-  // Forward then back substitution.
-  std::vector<double> y(n);
-  for (size_t i = 0; i < n; ++i) {
-    double acc = b[i];
-    for (size_t k = 0; k < i; ++k) acc -= l(i, k) * y[k];
-    y[i] = acc / l(i, i);
-  }
-  std::vector<double> x(n);
-  for (size_t ii = n; ii-- > 0;) {
-    double acc = y[ii];
-    for (size_t k = ii + 1; k < n; ++k) acc -= l(k, ii) * x[k];
-    x[ii] = acc / l(ii, ii);
-  }
-  return x;
-}
-
-Result<std::vector<double>> RidgeLeastSquares(const Matrix& a,
-                                              const std::vector<double>& b,
-                                              double ridge) {
-  if (a.rows() != b.size()) {
-    return Status::InvalidArgument("RidgeLeastSquares shape mismatch");
-  }
-  const size_t n = a.cols();
-  Matrix ata(n, n);
-  for (size_t i = 0; i < n; ++i) {
-    for (size_t j = i; j < n; ++j) {
-      double acc = 0.0;
-      for (size_t k = 0; k < a.rows(); ++k) acc += a(k, i) * a(k, j);
-      ata(i, j) = acc;
-      ata(j, i) = acc;
-    }
-    ata(i, i) += ridge;
-  }
-  std::vector<double> atb(n, 0.0);
-  for (size_t i = 0; i < n; ++i) {
-    double acc = 0.0;
-    for (size_t k = 0; k < a.rows(); ++k) acc += a(k, i) * b[k];
-    atb[i] = acc;
-  }
-  return CholeskySolve(ata, atb);
 }
 
 }  // namespace ipool

@@ -1,6 +1,5 @@
-// Symmetric eigendecomposition (cyclic Jacobi) and derived factorizations:
-// thin SVD via the Gram matrix (the route SSA needs) and a ridge-regularized
-// least-squares solver used by the SSA linear recurrence fit.
+// Symmetric eigendecomposition by the cyclic Jacobi method: the dense
+// oracle behind every SSA fit and the subspace solver's Rayleigh-Ritz step.
 #ifndef IPOOL_LINALG_EIGEN_H_
 #define IPOOL_LINALG_EIGEN_H_
 
@@ -19,36 +18,15 @@ struct EigenDecomposition {
 };
 
 /// Eigendecomposition of a symmetric matrix via the cyclic Jacobi method.
-/// Returns InvalidArgument for non-square input; symmetry is assumed (only
-/// the upper triangle is read in the rotations' bookkeeping sense).
+/// Returns InvalidArgument for non-square input. Symmetry is assumed but not
+/// enforced: each rotation reads and writes BOTH triangles of a full working
+/// copy, the two triangles drift apart at rounding level as sweeps proceed,
+/// and later rotations read the drifted entries. The results (and every SSA
+/// model built on them) depend on that drift, which is why the solver keeps
+/// full storage — a symmetric-storage variant would change model bits.
 Result<EigenDecomposition> SymmetricEigen(const Matrix& a,
                                           size_t max_sweeps = 64,
                                           double tol = 1e-12);
-
-struct Svd {
-  /// Descending non-negative singular values (rank many).
-  std::vector<double> singular_values;
-  /// m x r left singular vectors (columns).
-  Matrix u;
-  /// n x r right singular vectors (columns).
-  Matrix v;
-};
-
-/// Thin SVD of an m x n matrix computed from the eigendecomposition of the
-/// smaller Gram matrix. Singular values below `rank_tol * max_sv` are
-/// truncated. Accurate enough for SSA's low-rank reconstruction use.
-Result<Svd> ThinSvd(const Matrix& a, double rank_tol = 1e-10);
-
-/// Solves min_x ||A x - b||^2 + ridge * ||x||^2 via normal equations and
-/// Cholesky. `ridge` > 0 keeps the system well-posed when A is rank
-/// deficient (as SSA's recurrence fit can be on constant segments).
-Result<std::vector<double>> RidgeLeastSquares(const Matrix& a,
-                                              const std::vector<double>& b,
-                                              double ridge = 1e-8);
-
-/// Cholesky solve of a symmetric positive-definite system A x = b.
-Result<std::vector<double>> CholeskySolve(const Matrix& a,
-                                          const std::vector<double>& b);
 
 }  // namespace ipool
 

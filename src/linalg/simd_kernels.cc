@@ -63,6 +63,15 @@ void MulAddScalar(double* dst, const double* src, double scale, size_t n) {
   for (size_t j = 0; j < n; ++j) dst[j] += scale * src[j];
 }
 
+void RotateScalar(double* x, double* y, double c, double s, size_t n) {
+  for (size_t j = 0; j < n; ++j) {
+    const double xj = x[j];
+    const double yj = y[j];
+    x[j] = c * xj - s * yj;
+    y[j] = s * xj + c * yj;
+  }
+}
+
 // StridedRevDot's fixed semantics: four lane accumulators (one AVX2 vector —
 // the gather port, not FMA latency, bounds this kernel, so one chain is
 // enough), lane l owns t with t % 4 == l, reduced (l0+l1)+(l2+l3), then a
@@ -129,6 +138,25 @@ __attribute__((target("avx2,fma"))) void MulAddAvx2(double* dst,
     _mm256_storeu_pd(dst + j, _mm256_add_pd(_mm256_loadu_pd(dst + j), p));
   }
   for (; j < n; ++j) dst[j] += scale * src[j];
+}
+
+__attribute__((target("avx2,fma"))) void RotateAvx2(double* x, double* y,
+                                                    double c, double s,
+                                                    size_t n) {
+  // Like MulAdd, two IEEE multiplies and one IEEE sub/add per output, never
+  // vfmadd, so each element rounds exactly as RotateScalar's does.
+  const __m256d vc = _mm256_set1_pd(c);
+  const __m256d vs = _mm256_set1_pd(s);
+  size_t j = 0;
+  for (; j + 4 <= n; j += 4) {
+    const __m256d vx = _mm256_loadu_pd(x + j);
+    const __m256d vy = _mm256_loadu_pd(y + j);
+    _mm256_storeu_pd(x + j, _mm256_sub_pd(_mm256_mul_pd(vc, vx),
+                                          _mm256_mul_pd(vs, vy)));
+    _mm256_storeu_pd(y + j, _mm256_add_pd(_mm256_mul_pd(vs, vx),
+                                          _mm256_mul_pd(vc, vy)));
+  }
+  RotateScalar(x + j, y + j, c, s, n - j);
 }
 
 __attribute__((target("avx2,fma"))) double StridedRevDotAvx2(
@@ -203,6 +231,16 @@ void MulAdd(double* dst, const double* src, double scale, size_t n) {
   }
 #endif
   MulAddScalar(dst, src, scale, n);
+}
+
+void Rotate(double* x, double* y, double c, double s, size_t n) {
+#if IPOOL_SIMD_X86
+  if (ActiveIsa() == IsaLevel::kAvx2) {
+    RotateAvx2(x, y, c, s, n);
+    return;
+  }
+#endif
+  RotateScalar(x, y, c, s, n);
 }
 
 double StridedRevDot(const double* a, size_t stride, const double* b,

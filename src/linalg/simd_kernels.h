@@ -1,6 +1,6 @@
 // Vectorized microkernels under the blocked MatMul, the nn forward/backward
-// GEMM paths and the SSA Gram/reconstruction hot loops. Three primitives
-// cover every inner loop in the codebase:
+// GEMM paths, the SSA Gram/reconstruction hot loops and the Jacobi
+// eigensolver. Four primitives cover every inner loop in the codebase:
 //
 //   Dot(a, b, n)          -> sum_k a[k] * b[k]       (reduction)
 //   MulAdd(dst, src, s, n) : dst[j] += s * src[j]    (axpy)
@@ -8,6 +8,9 @@
 //                         -> sum_t a[t*stride] * b[-t]
 //     (the SSA diagonal-averaging shape: a column of a row-major matrix
 //      against a row walked backwards)
+//   Rotate(x, y, c, s, n)  : (x[j], y[j]) <- (c*x[j] - s*y[j],
+//                                             s*x[j] + c*y[j])
+//     (a Jacobi/Givens plane rotation of two rows)
 //
 // Dispatch contract (see DESIGN.md "SIMD kernels & runtime dispatch"):
 //  * The instruction set is resolved ONCE per process (AVX2+FMA when the CPU
@@ -16,10 +19,10 @@
 //    the serial-vs-parallel determinism contract intact: thread count never
 //    changes which code computes an element.
 //  * Each kernel's scalar fallback is BIT-IDENTICAL to its vector path. For
-//    MulAdd that is free: the vector body performs exactly one IEEE multiply
-//    and one IEEE add per element, the same as the scalar loop (no FMA
-//    contraction), so MulAdd also reproduces the historical plain-loop
-//    results bit for bit. For Dot the accumulation order is part of the
+//    MulAdd and Rotate that is free: the vector bodies perform exactly the
+//    IEEE multiplies and adds of the scalar loop per element (no FMA
+//    contraction), so both also reproduce the historical plain-loop results
+//    bit for bit. For Dot the accumulation order is part of the
 //    kernel's definition: eight lane accumulators striding the input, a fixed
 //    ((l0+l1)+(l2+l3))+((l4+l5)+(l6+l7)) reduction, then the scalar tail — with fused
 //    multiply-adds throughout (std::fma on the scalar path, vfmadd on the
@@ -61,6 +64,12 @@ double Dot(const double* a, const double* b, size_t n);
 /// add per element (never fused), so results are bit-identical to the plain
 /// scalar loop on every IsaLevel.
 void MulAdd(double* dst, const double* src, double scale, size_t n);
+
+/// x[j] <- c * x[j] - s * y[j] and y[j] <- s * x[j] + c * y[j] for j in
+/// [0, n), both from the old x[j], y[j]. Two IEEE multiplies and one IEEE
+/// subtract/add per output (never fused), so results are bit-identical to
+/// the plain scalar loop on every IsaLevel. x and y must not overlap.
+void Rotate(double* x, double* y, double c, double s, size_t n);
 
 /// sum_t a[t*stride] * b[-t] for t in [0, n) — the SSA diagonal-averaging
 /// inner loop (strided column of the eigvec matrix against a reversed slice

@@ -1,8 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cmath>
+#include <cstring>
+#include <numeric>
+#include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -10,6 +15,7 @@
 #include "linalg/matrix.h"
 #include "linalg/simd_kernels.h"
 #include "linalg/subspace.h"
+#include "workload/demand_generator.h"
 
 namespace ipool {
 namespace {
@@ -321,82 +327,168 @@ TEST(EigenTest, ReconstructsRandomSymmetric) {
   }
 }
 
-TEST(SvdTest, RankOneMatrix) {
-  // outer product u v^T with |u|=sqrt(14), |v|=sqrt(5).
-  auto a = *Matrix::FromRowMajor(3, 2, {1 * 1., 1 * 2., 2 * 1., 2 * 2., 3 * 1., 3 * 2.});
-  auto svd = ThinSvd(a);
-  ASSERT_TRUE(svd.ok());
-  ASSERT_EQ(svd->singular_values.size(), 1u);
-  EXPECT_NEAR(svd->singular_values[0], std::sqrt(14.0 * 5.0), 1e-8);
-}
-
-TEST(SvdTest, ReconstructsRandomMatrix) {
-  Rng rng(33);
-  for (auto [m, n] : {std::pair<size_t, size_t>{8, 5}, {5, 8}, {6, 6}}) {
-    Matrix a(m, n);
-    for (size_t i = 0; i < m; ++i) {
-      for (size_t j = 0; j < n; ++j) a(i, j) = rng.Uniform(-1, 1);
+// The solver as it stood before the padded, transposed-V layout and
+// simd::Rotate: column pass, row pass and V pass as three plain loops over
+// full row-major storage. SymmetricEigen must reproduce it byte for byte.
+EigenDecomposition ReferenceJacobi(const Matrix& input, size_t max_sweeps = 64,
+                                   double tol = 1e-12) {
+  const size_t n = input.rows();
+  Matrix a = input;
+  Matrix v = Matrix::Identity(n);
+  auto exact_off2 = [&]() {
+    double s = 0.0;
+    for (size_t i = 0; i < n; ++i) {
+      for (size_t j = i + 1; j < n; ++j) s += a(i, j) * a(i, j);
     }
-    auto svd = ThinSvd(a);
-    ASSERT_TRUE(svd.ok());
-    // Reconstruct A = U diag(s) V^T and compare.
-    const size_t r = svd->singular_values.size();
-    for (size_t i = 0; i < m; ++i) {
-      for (size_t j = 0; j < n; ++j) {
-        double acc = 0.0;
-        for (size_t k = 0; k < r; ++k) {
-          acc += svd->u(i, k) * svd->singular_values[k] * svd->v(j, k);
+    return s;
+  };
+  const double scale = std::max(1.0, a.Norm());
+  const double off2_limit = 0.5 * (tol * scale) * (tol * scale);
+  double off2 = exact_off2();
+  for (size_t sweep = 0; sweep < max_sweeps; ++sweep) {
+    if (sweep > 0 && sweep % 4 == 0) off2 = exact_off2();
+    if (off2 <= off2_limit) {
+      off2 = exact_off2();
+      if (off2 <= off2_limit) break;
+    }
+    for (size_t p = 0; p + 1 < n; ++p) {
+      for (size_t q = p + 1; q < n; ++q) {
+        const double apq = a(p, q);
+        if (std::fabs(apq) <= 1e-300) continue;
+        off2 = std::max(0.0, off2 - apq * apq);
+        const double app = a(p, p);
+        const double aqq = a(q, q);
+        const double theta = (aqq - app) / (2.0 * apq);
+        const double t = (theta >= 0.0 ? 1.0 : -1.0) /
+                         (std::fabs(theta) + std::sqrt(theta * theta + 1.0));
+        const double c = 1.0 / std::sqrt(t * t + 1.0);
+        const double s = t * c;
+        for (size_t k = 0; k < n; ++k) {
+          const double akp = a(k, p);
+          const double akq = a(k, q);
+          a(k, p) = c * akp - s * akq;
+          a(k, q) = s * akp + c * akq;
         }
-        EXPECT_NEAR(acc, a(i, j), 1e-7) << m << "x" << n << " @" << i << "," << j;
+        for (size_t k = 0; k < n; ++k) {
+          const double apk = a(p, k);
+          const double aqk = a(q, k);
+          a(p, k) = c * apk - s * aqk;
+          a(q, k) = s * apk + c * aqk;
+        }
+        for (size_t k = 0; k < n; ++k) {
+          const double vkp = v(k, p);
+          const double vkq = v(k, q);
+          v(k, p) = c * vkp - s * vkq;
+          v(k, q) = s * vkp + c * vkq;
+        }
       }
     }
   }
-}
-
-TEST(SvdTest, SingularValuesDescending) {
-  Rng rng(44);
-  Matrix a(10, 7);
-  for (auto& v : a.data()) v = rng.Uniform(-3, 3);
-  auto svd = ThinSvd(a);
-  ASSERT_TRUE(svd.ok());
-  for (size_t i = 1; i < svd->singular_values.size(); ++i) {
-    EXPECT_GE(svd->singular_values[i - 1], svd->singular_values[i] - 1e-12);
+  std::vector<size_t> order(n);
+  std::iota(order.begin(), order.end(), 0);
+  std::sort(order.begin(), order.end(),
+            [&](size_t i, size_t j) { return a(i, i) > a(j, j); });
+  EigenDecomposition out;
+  out.values.resize(n);
+  out.vectors = Matrix(n, n);
+  for (size_t i = 0; i < n; ++i) {
+    out.values[i] = a(order[i], order[i]);
+    for (size_t r = 0; r < n; ++r) out.vectors(r, i) = v(r, order[i]);
   }
+  return out;
 }
 
-TEST(CholeskyTest, SolvesSpdSystem) {
-  auto a = *Matrix::FromRowMajor(2, 2, {4, 1, 1, 3});
-  auto x = CholeskySolve(a, {1, 2});
-  ASSERT_TRUE(x.ok());
-  // Verify A x = b.
-  EXPECT_NEAR(4 * (*x)[0] + 1 * (*x)[1], 1.0, 1e-12);
-  EXPECT_NEAR(1 * (*x)[0] + 3 * (*x)[1], 2.0, 1e-12);
+Matrix RandomSymmetric(size_t n, uint64_t seed) {
+  Rng rng(seed);
+  Matrix m(n, n);
+  for (size_t i = 0; i < n; ++i) {
+    for (size_t j = i; j < n; ++j) {
+      const double v = rng.Uniform(-2, 2);
+      m(i, j) = v;
+      m(j, i) = v;
+    }
+  }
+  return m;
 }
 
-TEST(CholeskyTest, RejectsIndefinite) {
-  auto a = *Matrix::FromRowMajor(2, 2, {1, 2, 2, 1});  // eigenvalues 3, -1
-  EXPECT_FALSE(CholeskySolve(a, {1, 1}).ok());
+// The Gram SsaForecaster hands the solver at the live plane's serve shape:
+// 480 bins (4 h of 30 s bins) of a Table-1 profile from 08:00, window 96,
+// scaled by the history maximum. Spectra whose noise floor the rank
+// selection reaches into, so the subspace path rejects them (head_short)
+// and every SSA fit at this shape runs the dense solver.
+std::vector<std::pair<std::string, Matrix>> ServeShapeTable1Grams() {
+  constexpr size_t kBins = 480;
+  constexpr size_t kWindow = 96;
+  std::vector<std::pair<std::string, Matrix>> out;
+  for (Region region : {Region::kWestUs2, Region::kEastUs2}) {
+    for (NodeSize size :
+         {NodeSize::kSmall, NodeSize::kMedium, NodeSize::kLarge}) {
+      WorkloadConfig config = RegionNodeProfile(region, size, /*seed=*/11);
+      config.duration_days = 0.5;
+      auto generator = DemandGenerator::Create(config);
+      EXPECT_TRUE(generator.ok());
+      const size_t begin = 8 * 120;
+      const TimeSeries history =
+          generator->GenerateBinned().Slice(begin, begin + kBins);
+      const double scale = std::max(1.0, history.Max());
+      Matrix gram = *HankelGram(history.values(), kWindow);
+      for (double& g : gram.data()) g *= 1.0 / (scale * scale);
+      out.emplace_back(RegionToString(region) + "-" + NodeSizeToString(size),
+                       std::move(gram));
+    }
+  }
+  return out;
 }
 
-TEST(RidgeLeastSquaresTest, ExactOnFullRank) {
-  // Overdetermined system with exact solution x = (1, 2).
-  auto a = *Matrix::FromRowMajor(3, 2, {1, 0, 0, 1, 1, 1});
-  std::vector<double> b = {1, 2, 3};
-  auto x = RidgeLeastSquares(a, b, 1e-12);
-  ASSERT_TRUE(x.ok());
-  EXPECT_NEAR((*x)[0], 1.0, 1e-5);
-  EXPECT_NEAR((*x)[1], 2.0, 1e-5);
+bool SameBytes(const std::vector<double>& x, const std::vector<double>& y) {
+  return x.size() == y.size() &&
+         std::memcmp(x.data(), y.data(), x.size() * sizeof(double)) == 0;
 }
 
-TEST(RidgeLeastSquaresTest, HandlesRankDeficiency) {
-  // Two identical columns: plain normal equations would be singular.
-  auto a = *Matrix::FromRowMajor(3, 2, {1, 1, 2, 2, 3, 3});
-  auto x = RidgeLeastSquares(a, {2, 4, 6}, 1e-6);
-  ASSERT_TRUE(x.ok());
-  // Fitted values should reproduce b.
-  for (size_t i = 0; i < 3; ++i) {
-    const double fit = a(i, 0) * (*x)[0] + a(i, 1) * (*x)[1];
-    EXPECT_NEAR(fit, 2.0 * static_cast<double>(i + 1), 1e-4);
+TEST(SymmetricEigenTest, MatchesReferenceJacobiBitForBit) {
+  std::vector<std::pair<std::string, Matrix>> cases;
+  // Sizes around the 4-wide Rotate body and its tails, and around the
+  // padded row stride (96 and 128 are even line counts that get padded).
+  for (size_t n : {1, 2, 3, 4, 5, 7, 8, 9, 16, 17, 31, 33, 96, 97, 128}) {
+    cases.emplace_back("random n=" + std::to_string(n),
+                       RandomSymmetric(n, 500 + n));
+  }
+  for (auto& gram : ServeShapeTable1Grams()) cases.push_back(std::move(gram));
+  // Two decoupled blocks: every cross-block a(p, q) stays an exact zero, so
+  // those pairs take the |apq| <= 1e-300 skip.
+  Matrix blocks(12, 12);
+  const Matrix upper = RandomSymmetric(5, 77);
+  const Matrix lower = RandomSymmetric(7, 78);
+  for (size_t i = 0; i < 5; ++i) {
+    for (size_t j = 0; j < 5; ++j) blocks(i, j) = upper(i, j);
+  }
+  for (size_t i = 0; i < 7; ++i) {
+    for (size_t j = 0; j < 7; ++j) blocks(5 + i, 5 + j) = lower(i, j);
+  }
+  cases.emplace_back("block-diagonal", blocks);
+
+  for (const auto& [name, m] : cases) {
+    const EigenDecomposition want = ReferenceJacobi(m);
+    for (simd::IsaLevel level :
+         {simd::IsaLevel::kScalar, simd::IsaLevel::kAvx2}) {
+      simd::ScopedForceIsa force(level);
+      auto got = SymmetricEigen(m);
+      ASSERT_TRUE(got.ok()) << name;
+      EXPECT_TRUE(SameBytes(got->values, want.values))
+          << name << " isa " << simd::IsaName(simd::ActiveIsa());
+      EXPECT_TRUE(SameBytes(got->vectors.data(), want.vectors.data()))
+          << name << " isa " << simd::IsaName(simd::ActiveIsa());
+    }
+  }
+  // The skip kept the blocks apart: every eigenvector lives in one block.
+  const auto eig = *SymmetricEigen(blocks);
+  for (size_t i = 0; i < 12; ++i) {
+    double upper_mass = 0.0;
+    double lower_mass = 0.0;
+    for (size_t r = 0; r < 12; ++r) {
+      (r < 5 ? upper_mass : lower_mass) += std::fabs(eig.vectors(r, i));
+    }
+    EXPECT_TRUE(upper_mass == 0.0 || lower_mass == 0.0) << "vector " << i;
   }
 }
 
@@ -525,6 +617,34 @@ TEST(SimdKernelTest, StridedRevDotBitIdenticalAcrossIsaLevels) {
         want = std::fma(a[t * stride], b[-static_cast<ptrdiff_t>(t)], want);
       }
       EXPECT_EQ(scalar, want) << "n=" << n << " stride=" << stride;
+    }
+  }
+}
+
+TEST(SimdKernelTest, RotateBitIdenticalAcrossIsaLevels) {
+  // Lengths 0..37 cover the empty call, every tail width and several full
+  // 4-wide bodies.
+  const double c = std::cos(0.3);
+  const double s = std::sin(0.3);  // neither exactly representable
+  for (size_t n = 0; n <= 37; ++n) {
+    const auto x0 = RandomKernelVec(n, 2300 + n);
+    const auto y0 = RandomKernelVec(n, 3300 + n);
+    std::vector<double> want_x = x0;
+    std::vector<double> want_y = y0;
+    for (size_t j = 0; j < n; ++j) {
+      want_x[j] = c * x0[j] - s * y0[j];
+      want_y[j] = s * x0[j] + c * y0[j];
+    }
+    for (simd::IsaLevel level :
+         {simd::IsaLevel::kScalar, simd::IsaLevel::kAvx2}) {
+      simd::ScopedForceIsa force(level);
+      std::vector<double> x = x0;
+      std::vector<double> y = y0;
+      simd::Rotate(x.data(), y.data(), c, s, n);
+      EXPECT_EQ(x, want_x) << "n=" << n << " isa "
+                           << simd::IsaName(simd::ActiveIsa());
+      EXPECT_EQ(y, want_y) << "n=" << n << " isa "
+                           << simd::IsaName(simd::ActiveIsa());
     }
   }
 }
