@@ -21,6 +21,7 @@
 #include "linalg/matrix.h"
 #include "linalg/simd_kernels.h"
 #include "linalg/subspace.h"
+#include "net/frame.h"
 #include "obs/metrics.h"
 #include "obs/obs_context.h"
 #include "obs/trace.h"
@@ -411,6 +412,39 @@ void BM_ParallelForDispatch(benchmark::State& state) {
 }
 BENCHMARK(BM_ParallelForDispatch)->Arg(0)->Arg(1)->Arg(2)->Arg(4)
     ->Unit(benchmark::kMicrosecond);
+
+// The serving layer's per-frame integrity cost: CRC-32 over a request-sized
+// (64 B) and a document-sized (1536 B) buffer. Crc32 runs the same
+// slicing-by-8 kernel as the frame CRC every encode and decode pays.
+void BM_FrameCrc(benchmark::State& state) {
+  const size_t size = static_cast<size_t>(state.range(0));
+  std::string bytes(size, '\0');
+  for (size_t i = 0; i < size; ++i) {
+    bytes[i] = static_cast<char>((i * 131 + 7) & 0xff);
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(net::Crc32(bytes.data(), bytes.size()));
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(size));
+}
+BENCHMARK(BM_FrameCrc)->Arg(64)->Arg(1536)->Unit(benchmark::kNanosecond);
+
+// Encoding one GetRecommendation response carrying a document-sized payload:
+// header, CRC and payload copy, as the server does once per response.
+void BM_EncodeFrame(benchmark::State& state) {
+  net::Frame frame;
+  frame.type = net::FrameType::kResponse;
+  frame.method = net::Method::kGetRecommendation;
+  frame.trace_id = 0x0123456789abcdefULL;
+  frame.request_id = 42;
+  frame.payload.assign(static_cast<size_t>(state.range(0)), 'x');
+  for (auto _ : state) {
+    std::string wire = net::EncodeFrame(frame);
+    benchmark::DoNotOptimize(wire);
+  }
+}
+BENCHMARK(BM_EncodeFrame)->Arg(1536)->Unit(benchmark::kNanosecond);
 
 }  // namespace
 

@@ -9,28 +9,66 @@ namespace ipool::net {
 
 namespace {
 
-std::array<uint32_t, 256> MakeCrcTable() {
-  std::array<uint32_t, 256> table{};
+// Slicing-by-8 tables over the reflected IEEE polynomial 0xEDB88320:
+// kCrcTables[0] is the classic bytewise table, and kCrcTables[k][b] is the
+// CRC contribution of byte b followed by k zero bytes, so eight table
+// lookups fold eight input bytes at once. The result is bit-identical to
+// the bytewise loop.
+using CrcTables = std::array<std::array<uint32_t, 256>, 8>;
+
+constexpr CrcTables MakeCrcTables() {
+  CrcTables tables{};
   for (uint32_t i = 0; i < 256; ++i) {
     uint32_t c = i;
     for (int k = 0; k < 8; ++k) {
       c = (c & 1) ? 0xedb88320u ^ (c >> 1) : c >> 1;
     }
-    table[i] = c;
+    tables[0][i] = c;
   }
-  return table;
+  for (size_t k = 1; k < 8; ++k) {
+    for (uint32_t i = 0; i < 256; ++i) {
+      const uint32_t prev = tables[k - 1][i];
+      tables[k][i] = (prev >> 8) ^ tables[0][prev & 0xff];
+    }
+  }
+  return tables;
 }
 
-void PutU32(std::string& out, uint32_t v) {
-  out.push_back(static_cast<char>(v & 0xff));
-  out.push_back(static_cast<char>((v >> 8) & 0xff));
-  out.push_back(static_cast<char>((v >> 16) & 0xff));
-  out.push_back(static_cast<char>((v >> 24) & 0xff));
+constexpr CrcTables kCrcTables = MakeCrcTables();
+
+// Little-endian load at any alignment (one mov on x86-64).
+uint32_t LoadU32(const uint8_t* p) {
+  return static_cast<uint32_t>(p[0]) | static_cast<uint32_t>(p[1]) << 8 |
+         static_cast<uint32_t>(p[2]) << 16 |
+         static_cast<uint32_t>(p[3]) << 24;
 }
 
-void PutU64(std::string& out, uint64_t v) {
-  PutU32(out, static_cast<uint32_t>(v & 0xffffffffu));
-  PutU32(out, static_cast<uint32_t>(v >> 32));
+// Advances a running (pre-inverted) CRC over `size` bytes.
+uint32_t CrcUpdate(uint32_t crc, const uint8_t* p, size_t size) {
+  const CrcTables& t = kCrcTables;
+  for (; size >= 8; p += 8, size -= 8) {
+    const uint32_t lo = LoadU32(p) ^ crc;
+    const uint32_t hi = LoadU32(p + 4);
+    crc = t[7][lo & 0xff] ^ t[6][(lo >> 8) & 0xff] ^
+          t[5][(lo >> 16) & 0xff] ^ t[4][lo >> 24] ^ t[3][hi & 0xff] ^
+          t[2][(hi >> 8) & 0xff] ^ t[1][(hi >> 16) & 0xff] ^ t[0][hi >> 24];
+  }
+  for (; size > 0; ++p, --size) {
+    crc = t[0][(crc ^ *p) & 0xff] ^ (crc >> 8);
+  }
+  return crc;
+}
+
+void PutU32(char* p, uint32_t v) {
+  p[0] = static_cast<char>(v & 0xff);
+  p[1] = static_cast<char>((v >> 8) & 0xff);
+  p[2] = static_cast<char>((v >> 16) & 0xff);
+  p[3] = static_cast<char>((v >> 24) & 0xff);
+}
+
+void PutU64(char* p, uint64_t v) {
+  PutU32(p, static_cast<uint32_t>(v & 0xffffffffu));
+  PutU32(p + 4, static_cast<uint32_t>(v >> 32));
 }
 
 uint32_t GetU32(const char* p) {
@@ -52,27 +90,20 @@ constexpr size_t kCrcHeaderEnd = 24;
 
 uint32_t FrameCrc(const char* header, const char* payload,
                   size_t payload_len) {
-  static const std::array<uint32_t, 256> table = MakeCrcTable();
-  uint32_t crc = 0xffffffffu;
-  for (size_t i = kCrcHeaderBegin; i < kCrcHeaderEnd; ++i) {
-    crc = table[(crc ^ static_cast<uint8_t>(header[i])) & 0xff] ^ (crc >> 8);
-  }
-  for (size_t i = 0; i < payload_len; ++i) {
-    crc = table[(crc ^ static_cast<uint8_t>(payload[i])) & 0xff] ^ (crc >> 8);
-  }
+  uint32_t crc = CrcUpdate(0xffffffffu,
+                           reinterpret_cast<const uint8_t*>(header) +
+                               kCrcHeaderBegin,
+                           kCrcHeaderEnd - kCrcHeaderBegin);
+  crc = CrcUpdate(crc, reinterpret_cast<const uint8_t*>(payload),
+                  payload_len);
   return crc ^ 0xffffffffu;
 }
 
 }  // namespace
 
 uint32_t Crc32(const void* data, size_t size) {
-  static const std::array<uint32_t, 256> table = MakeCrcTable();
-  const auto* bytes = static_cast<const uint8_t*>(data);
-  uint32_t crc = 0xffffffffu;
-  for (size_t i = 0; i < size; ++i) {
-    crc = table[(crc ^ bytes[i]) & 0xff] ^ (crc >> 8);
-  }
-  return crc ^ 0xffffffffu;
+  return CrcUpdate(0xffffffffu, static_cast<const uint8_t*>(data), size) ^
+         0xffffffffu;
 }
 
 const char* MethodToString(Method method) {
@@ -151,20 +182,26 @@ WireStatus StatusToWireStatus(const Status& status) {
   return WireStatus::kInternal;
 }
 
+void AppendFrame(const Frame& frame, std::string* out) {
+  char header[kFrameHeaderBytes];
+  PutU32(header, kFrameMagic);
+  header[4] = static_cast<char>(frame.type);
+  header[5] = static_cast<char>(frame.method);
+  header[6] = static_cast<char>(frame.status);
+  header[7] = 0;  // reserved
+  PutU64(header + 8, frame.trace_id);
+  PutU32(header + 16, frame.request_id);
+  PutU32(header + 20, static_cast<uint32_t>(frame.payload.size()));
+  PutU32(header + 24,
+         FrameCrc(header, frame.payload.data(), frame.payload.size()));
+  out->append(header, kFrameHeaderBytes);
+  out->append(frame.payload);
+}
+
 std::string EncodeFrame(const Frame& frame) {
   std::string out;
   out.reserve(kFrameHeaderBytes + frame.payload.size());
-  PutU32(out, kFrameMagic);
-  out.push_back(static_cast<char>(frame.type));
-  out.push_back(static_cast<char>(frame.method));
-  out.push_back(static_cast<char>(frame.status));
-  out.push_back(0);  // reserved
-  PutU64(out, frame.trace_id);
-  PutU32(out, frame.request_id);
-  PutU32(out, static_cast<uint32_t>(frame.payload.size()));
-  PutU32(out, FrameCrc(out.data(), frame.payload.data(),
-                       frame.payload.size()));
-  out.append(frame.payload);
+  AppendFrame(frame, &out);
   return out;
 }
 
@@ -173,40 +210,45 @@ Status FrameDecoder::Feed(const char* data, size_t size) {
     return Status::InvalidArgument("frame decoder poisoned by earlier error");
   }
   buffer_.append(data, size);
-  while (buffer_.size() >= kFrameHeaderBytes) {
-    const char* head = buffer_.data();
+  // Frames are consumed through a read offset and the buffer is compacted
+  // once per Feed, so a read carrying many frames costs one memmove, not
+  // one per frame.
+  size_t pos = 0;
+  Status status = Status::OK();
+  while (buffer_.size() - pos >= kFrameHeaderBytes) {
+    const char* head = buffer_.data() + pos;
     const uint32_t magic = GetU32(head);
     if (magic != kFrameMagic) {
-      poisoned_ = true;
-      return Status::InvalidArgument(
+      status = Status::InvalidArgument(
           StrFormat("bad frame magic 0x%08x", magic));
+      break;
     }
     const uint8_t type = static_cast<uint8_t>(head[4]);
     if (type != static_cast<uint8_t>(FrameType::kRequest) &&
         type != static_cast<uint8_t>(FrameType::kResponse)) {
-      poisoned_ = true;
-      return Status::InvalidArgument(StrFormat("bad frame type %u", type));
+      status = Status::InvalidArgument(StrFormat("bad frame type %u", type));
+      break;
     }
     if (head[7] != 0) {
-      poisoned_ = true;
-      return Status::InvalidArgument("reserved frame byte is non-zero");
+      status = Status::InvalidArgument("reserved frame byte is non-zero");
+      break;
     }
     const uint32_t payload_len = GetU32(head + 20);
     if (payload_len > max_payload_bytes_) {
-      poisoned_ = true;
-      return Status::InvalidArgument(
+      status = Status::InvalidArgument(
           StrFormat("frame payload %u exceeds cap %zu", payload_len,
                     max_payload_bytes_));
+      break;
     }
-    if (buffer_.size() < kFrameHeaderBytes + payload_len) break;
+    if (buffer_.size() - pos < kFrameHeaderBytes + payload_len) break;
     const uint32_t want_crc = GetU32(head + 24);
     const uint32_t got_crc = FrameCrc(head, head + kFrameHeaderBytes,
                                       payload_len);
     if (want_crc != got_crc) {
-      poisoned_ = true;
-      return Status::InvalidArgument(
+      status = Status::InvalidArgument(
           StrFormat("frame CRC mismatch: header 0x%08x payload 0x%08x",
                     want_crc, got_crc));
+      break;
     }
     Frame frame;
     frame.type = static_cast<FrameType>(type);
@@ -216,9 +258,11 @@ Status FrameDecoder::Feed(const char* data, size_t size) {
     frame.request_id = GetU32(head + 16);
     frame.payload.assign(head + kFrameHeaderBytes, payload_len);
     ready_.push_back(std::move(frame));
-    buffer_.erase(0, kFrameHeaderBytes + payload_len);
+    pos += kFrameHeaderBytes + payload_len;
   }
-  return Status::OK();
+  buffer_.erase(0, pos);
+  if (!status.ok()) poisoned_ = true;
+  return status;
 }
 
 Frame FrameDecoder::Next() {

@@ -34,7 +34,8 @@
 
 namespace ipool::net {
 
-/// CRC-32 (IEEE 802.3 polynomial, reflected) of `size` bytes.
+/// CRC-32 (IEEE 802.3 polynomial, reflected) of `size` bytes, computed
+/// slicing-by-8 (eight table lookups per eight bytes).
 uint32_t Crc32(const void* data, size_t size);
 
 enum class FrameType : uint8_t {
@@ -95,6 +96,9 @@ struct Frame {
 
 /// Serializes header + payload (CRC computed here).
 std::string EncodeFrame(const Frame& frame);
+/// Appends the same bytes EncodeFrame returns to `*out`, without a
+/// temporary string (the server encodes straight into its output buffer).
+void AppendFrame(const Frame& frame, std::string* out);
 
 /// Incremental frame parser over a byte stream. Not thread-safe; one
 /// decoder per connection.

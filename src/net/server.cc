@@ -76,13 +76,17 @@ const char* MethodSpanName(Method method) {
 struct Server::Conn {
   explicit Conn(size_t max_payload) : decoder(max_payload) {}
 
+  /// Encoded bytes not yet written to the socket.
+  size_t Pending() const { return outbuf.size() - out_sent; }
+
   int fd = -1;
   FrameDecoder decoder;   // event-loop thread only
   bool want_write = false;  // EPOLLOUT registered; event-loop thread only
 
   std::mutex mu;
-  std::string outbuf;   // encoded, unflushed responses
-  size_t inflight = 0;  // requests queued or executing
+  std::string outbuf;   // encoded responses; [out_sent, size) unflushed
+  size_t out_sent = 0;  // bytes of outbuf already written
+  size_t inflight = 0;  // requests queued or executing on the pool
   bool closed = false;  // fd gone; late responses are dropped
 };
 
@@ -236,7 +240,7 @@ void Server::EventLoop() {
       bool pending;
       {
         std::lock_guard<std::mutex> lock(conn->mu);
-        pending = !conn->outbuf.empty();
+        pending = conn->Pending() != 0;
       }
       if (pending) FlushWrites(conn);
     }
@@ -288,7 +292,7 @@ void Server::HandleReadable(const std::shared_ptr<Conn>& conn) {
       return;
     }
     if (n < 0) {
-      if (errno == EAGAIN || errno == EWOULDBLOCK) break;
+      if (errno == EAGAIN || errno == EWOULDBLOCK) return;
       if (errno == EINTR) continue;
       CloseConn(conn);
       return;
@@ -303,20 +307,22 @@ void Server::HandleReadable(const std::shared_ptr<Conn>& conn) {
       return;
     }
     while (conn->decoder.HasFrame()) {
-      DispatchFrame(conn, conn->decoder.Next());
-      std::lock_guard<std::mutex> lock(conn->mu);
-      if (conn->closed) return;  // DispatchFrame rejected the stream
+      if (!DispatchFrame(conn, conn->decoder.Next())) return;
     }
-    if (static_cast<size_t>(n) < sizeof(buf)) break;
+    // One write for everything this read batch put in the buffer: inline
+    // GETs, sheds and drain rejects (and every response when no pool is
+    // wired). FlushWrites also enforces max_outbuf_bytes.
+    if (!FlushWrites(conn)) return;
+    if (static_cast<size_t>(n) < sizeof(buf)) return;
   }
 }
 
-void Server::DispatchFrame(const std::shared_ptr<Conn>& conn, Frame frame) {
+bool Server::DispatchFrame(const std::shared_ptr<Conn>& conn, Frame frame) {
   if (frame.type != FrameType::kRequest) {
     protocol_errors_.fetch_add(1, std::memory_order_relaxed);
     if (protocol_error_counter_ != nullptr) protocol_error_counter_->Add();
     CloseConn(conn);
-    return;
+    return false;
   }
   Frame reject;
   reject.type = FrameType::kResponse;
@@ -326,9 +332,16 @@ void Server::DispatchFrame(const std::shared_ptr<Conn>& conn, Frame frame) {
   if (draining_.load(std::memory_order_acquire)) {
     reject.status = WireStatus::kUnavailable;
     reject.payload = "server draining";
-    FinishRequest(conn, reject, -1.0);
-    return;
+    std::lock_guard<std::mutex> lock(conn->mu);
+    EnqueueLocked(conn, reject, -1.0);
+    return true;
   }
+  // GetRecommendation is a lock-free snapshot read, so the loop answers it
+  // right here: no pool hand-off, no worker wake-up, and its response
+  // shares the read batch's single write. Everything else may block
+  // (Health takes the live plane's state lock) and goes to the pool.
+  const bool run_inline = config_.pool == nullptr ||
+                          frame.method == Method::kGetRecommendation;
   {
     std::lock_guard<std::mutex> lock(conn->mu);
     if (conn->inflight >= config_.max_inflight_per_conn) {
@@ -337,60 +350,70 @@ void Server::DispatchFrame(const std::shared_ptr<Conn>& conn, Frame frame) {
       reject.status = WireStatus::kRetryAfter;
       reject.payload = "per-connection queue full";
       // Shed before execution: the client may retry unconditionally.
-      FinishRequestLocked(conn, reject, -1.0);
-      return;
+      EnqueueLocked(conn, reject, -1.0);
+      return true;
     }
-    ++conn->inflight;
+    if (!run_inline) ++conn->inflight;
+  }
+  const double start = NowSeconds();
+  if (run_inline) {
+    const Frame response = RunHandler(frame, start);
+    std::lock_guard<std::mutex> lock(conn->mu);
+    EnqueueLocked(conn, response, NowSeconds() - start);
+    return true;
   }
   inflight_tasks_.fetch_add(1, std::memory_order_acq_rel);
-  const double start = NowSeconds();
   auto task = [this, conn, request = std::move(frame), start]() {
-    // Epoll-accept-to-worker-start latency: separates dispatch/queueing
-    // pressure from handler cost. Measured for the inline path too, where it
-    // reads ~0 and anchors the histogram's floor.
-    const size_t mi = MethodIndex(request.method);
-    if (instruments_ != nullptr && mi < kNumMethods) {
-      instruments_->dispatch_queue[mi]->Observe(NowSeconds() - start,
-                                                request.trace_id);
-    }
-    Frame response;
-    {
-      // The server-side request span adopts the client's trace id, so one
-      // trace covers both processes; handler child spans nest under it.
-      obs::ScopedSpan span(config_.tracer, MethodSpanName(request.method),
-                           obs::SpanContext{request.trace_id, 0});
-      response = handler_(request);
-    }
-    response.type = FrameType::kResponse;
-    response.trace_id = request.trace_id;
-    response.request_id = request.request_id;
-    response.method = request.method;
+    const Frame response = RunHandler(request, start);
     {
       std::lock_guard<std::mutex> lock(conn->mu);
       --conn->inflight;
-      FinishRequestLocked(conn, response, NowSeconds() - start);
+      EnqueueLocked(conn, response, NowSeconds() - start);
+      // Opportunistic flush: a wake costs two eventfd syscalls plus an
+      // event-loop pass per response, and nearly every response fits the
+      // socket buffer. All fd writes happen under conn->mu, so this does
+      // not race the event loop's FlushWrites; whatever does not fit (or a
+      // write error) is left for the loop to flush or close on.
+      if (!conn->closed) {
+        WriteLocked(*conn);
+        if (conn->Pending() != 0) Wake();
+      }
     }
     if (inflight_tasks_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
       std::lock_guard<std::mutex> lock(inflight_mu_);
       inflight_cv_.notify_all();
     }
   };
-  if (config_.pool != nullptr) {
-    config_.pool->Submit(std::move(task), "net.request");
-  } else {
-    task();
+  config_.pool->Submit(std::move(task), "net.request");
+  return true;
+}
+
+Frame Server::RunHandler(const Frame& request, double start) {
+  // Epoll-accept-to-handler-start latency: separates dispatch/queueing
+  // pressure from handler cost. Measured for the inline path too, where it
+  // reads ~0 and anchors the histogram's floor.
+  const size_t mi = MethodIndex(request.method);
+  if (instruments_ != nullptr && mi < kNumMethods) {
+    instruments_->dispatch_queue[mi]->Observe(NowSeconds() - start,
+                                              request.trace_id);
   }
+  Frame response;
+  {
+    // The server-side request span adopts the client's trace id, so one
+    // trace covers both processes; handler child spans nest under it.
+    obs::ScopedSpan span(config_.tracer, MethodSpanName(request.method),
+                         obs::SpanContext{request.trace_id, 0});
+    response = handler_(request);
+  }
+  response.type = FrameType::kResponse;
+  response.trace_id = request.trace_id;
+  response.request_id = request.request_id;
+  response.method = request.method;
+  return response;
 }
 
-void Server::FinishRequest(const std::shared_ptr<Conn>& conn,
+void Server::EnqueueLocked(const std::shared_ptr<Conn>& conn,
                            const Frame& response, double elapsed_seconds) {
-  std::lock_guard<std::mutex> lock(conn->mu);
-  FinishRequestLocked(conn, response, elapsed_seconds);
-}
-
-void Server::FinishRequestLocked(const std::shared_ptr<Conn>& conn,
-                                 const Frame& response,
-                                 double elapsed_seconds) {
   requests_handled_.fetch_add(1, std::memory_order_relaxed);
   const size_t m = MethodIndex(response.method);
   const size_t s = static_cast<size_t>(response.status);
@@ -403,51 +426,51 @@ void Server::FinishRequestLocked(const std::shared_ptr<Conn>& conn,
     }
   }
   if (conn->closed) return;  // peer went away while we worked
-  conn->outbuf.append(EncodeFrame(response));
-  // Opportunistic inline flush: a wake costs two eventfd syscalls plus an
-  // event-loop pass per response, and nearly every response fits the socket
-  // buffer. All fd writes happen under conn->mu, so this does not race the
-  // event loop's FlushWrites; whatever does not fit (or a write error) is
-  // left for the loop to flush or close on.
-  while (!conn->outbuf.empty()) {
-    const ssize_t n =
-        write(conn->fd, conn->outbuf.data(), conn->outbuf.size());
+  AppendFrame(response, &conn->outbuf);
+}
+
+bool Server::WriteLocked(Conn& conn) {
+  bool ok = true;
+  while (conn.Pending() != 0) {
+    const ssize_t n = write(conn.fd, conn.outbuf.data() + conn.out_sent,
+                            conn.Pending());
     if (n > 0) {
-      conn->outbuf.erase(0, static_cast<size_t>(n));
+      conn.out_sent += static_cast<size_t>(n);
       continue;
     }
     if (n < 0 && errno == EINTR) continue;
-    break;  // EAGAIN or hard error: hand off to the event loop
+    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
+    ok = false;  // broken pipe etc.
+    break;
   }
-  if (!conn->outbuf.empty()) Wake();
+  if (conn.Pending() == 0) {
+    conn.outbuf.clear();
+    conn.out_sent = 0;
+  } else if (conn.out_sent > conn.outbuf.size() / 2) {
+    // A peer that never drains the buffer would otherwise pin every byte
+    // already sent; compacting only past half keeps the copying linear.
+    conn.outbuf.erase(0, conn.out_sent);
+    conn.out_sent = 0;
+  }
+  return ok;
 }
 
-void Server::FlushWrites(const std::shared_ptr<Conn>& conn) {
+bool Server::FlushWrites(const std::shared_ptr<Conn>& conn) {
   bool close_now = false;
   bool residue = false;
   {
     std::lock_guard<std::mutex> lock(conn->mu);
-    if (conn->closed) return;
-    while (!conn->outbuf.empty()) {
-      const ssize_t n =
-          write(conn->fd, conn->outbuf.data(), conn->outbuf.size());
-      if (n > 0) {
-        conn->outbuf.erase(0, static_cast<size_t>(n));
-        continue;
-      }
-      if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
-      if (n < 0 && errno == EINTR) continue;
-      close_now = true;  // broken pipe etc.
-      break;
-    }
-    if (conn->outbuf.size() > config_.max_outbuf_bytes) close_now = true;
-    residue = !conn->outbuf.empty();
+    if (conn->closed) return false;
+    close_now = !WriteLocked(*conn) ||
+                conn->Pending() > config_.max_outbuf_bytes;
+    residue = conn->Pending() != 0;
   }
   if (close_now) {
     CloseConn(conn);
-    return;
+    return false;
   }
   UpdateEpollOut(conn, residue);
+  return true;
 }
 
 void Server::UpdateEpollOut(const std::shared_ptr<Conn>& conn,
@@ -477,7 +500,7 @@ bool Server::Idle() {
   if (inflight_tasks_.load(std::memory_order_acquire) != 0) return false;
   for (auto& [fd, conn] : conns_) {
     std::lock_guard<std::mutex> lock(conn->mu);
-    if (conn->inflight != 0 || !conn->outbuf.empty()) return false;
+    if (conn->inflight != 0 || conn->Pending() != 0) return false;
   }
   return true;
 }

@@ -3,15 +3,23 @@
 // Threading model (see DESIGN.md "Serving layer"):
 //   * One event-loop thread owns epoll, every socket, and all frame
 //     decoding. Sockets are nonblocking and level-triggered.
-//   * Request frames are dispatched onto an exec::ThreadPool (the handler
-//     runs on a pool worker); with no pool wired, handlers run inline on
-//     the event loop (fine for tests and tiny deployments).
-//   * Workers never touch sockets: a finished handler appends the encoded
-//     response to the connection's outbound buffer under its mutex and
-//     nudges the event loop through an eventfd; the loop flushes.
+//   * GetRecommendation requests run inline on the event-loop thread right
+//     after they are decoded: the document read is a lock-free snapshot
+//     lookup, cheaper than the pool hand-off it would otherwise pay for.
+//     With no pool wired, every handler runs inline on the event loop
+//     (fine for tests and tiny deployments).
+//   * Every other request is dispatched onto an exec::ThreadPool (the
+//     handler runs on a pool worker). Workers never touch epoll: a finished
+//     handler appends the encoded response to the connection's outbound
+//     buffer under its mutex, tries one opportunistic write, and nudges the
+//     event loop through an eventfd if bytes remain.
+//   * Flush rule: whatever the loop thread puts in a connection's outbound
+//     buffer while handling one read (inline responses, sheds, drain
+//     rejects) goes out in one write at the end of that read batch.
 //
 // Backpressure: each connection has a bounded in-flight budget
-// (`max_inflight_per_conn`). A request arriving over budget is shed — it is
+// (`max_inflight_per_conn`) of requests queued or executing on the pool.
+// A request arriving over budget — inline GETs included — is shed: it is
 // NOT executed and the client gets an explicit RETRY_AFTER response (count:
 // ipool_net_shed_total), making retry unconditionally safe. A connection
 // whose outbound buffer exceeds `max_outbuf_bytes` is closed (the peer
@@ -58,10 +66,13 @@ struct ServerConfig {
   std::string bind_address = "127.0.0.1";
   /// 0 binds an ephemeral port (read it back with port()).
   uint16_t port = 0;
-  /// Handler executor. Null runs handlers inline on the event loop.
+  /// Handler executor for every method but GetRecommendation (which always
+  /// runs on the event loop). Null runs all handlers inline on the event
+  /// loop.
   exec::ThreadPool* pool = nullptr;
-  /// Bounded per-connection queue: requests queued or executing. At the
-  /// limit, new requests are shed with RETRY_AFTER.
+  /// Bounded per-connection queue: requests queued or executing on the
+  /// pool. At the limit, new requests (GETs included) are shed with
+  /// RETRY_AFTER.
   size_t max_inflight_per_conn = 64;
   /// Accept backlog + concurrent connection cap; excess accepts are closed
   /// immediately.
@@ -86,6 +97,9 @@ struct NetInstruments;
 class Server {
  public:
   /// Handles one decoded request; must be thread-safe when a pool is wired.
+  /// GetRecommendation requests run on the event-loop thread, so the
+  /// handler must answer them without blocking: a stall there stalls every
+  /// connection.
   using Handler = std::function<Frame(const Frame&)>;
 
   /// Binds, listens, and starts the event loop. The returned server is
@@ -127,15 +141,24 @@ class Server {
   void EventLoop();
   void HandleAccept();
   void HandleReadable(const std::shared_ptr<Conn>& conn);
-  void DispatchFrame(const std::shared_ptr<Conn>& conn, Frame frame);
-  /// Encodes and enqueues `response`, bumps the request counters, and
-  /// observes latency when `elapsed_seconds` >= 0. The Locked variant
-  /// requires `conn->mu` to be held by the caller.
-  void FinishRequest(const std::shared_ptr<Conn>& conn, const Frame& response,
+  /// Admits one request and runs it inline or on the pool. False when the
+  /// frame closed the connection.
+  bool DispatchFrame(const std::shared_ptr<Conn>& conn, Frame frame);
+  /// Runs the handler under the request span and stamps the response
+  /// header; `start` is when the frame was admitted.
+  Frame RunHandler(const Frame& request, double start);
+  /// Bumps the request counters, observes latency when `elapsed_seconds`
+  /// >= 0, and appends the encoded response to the outbound buffer (unless
+  /// the connection is closed). Requires `conn->mu`.
+  void EnqueueLocked(const std::shared_ptr<Conn>& conn, const Frame& response,
                      double elapsed_seconds);
-  void FinishRequestLocked(const std::shared_ptr<Conn>& conn,
-                           const Frame& response, double elapsed_seconds);
-  void FlushWrites(const std::shared_ptr<Conn>& conn);
+  /// Writes as much buffered output as the socket takes. Requires
+  /// `conn.mu` and an open connection. False on a hard write error.
+  static bool WriteLocked(Conn& conn);
+  /// Event-loop flush: writes, then closes the connection on a write error
+  /// or an outbound buffer over `max_outbuf_bytes`, else tracks EPOLLOUT.
+  /// False when the connection is (now) closed.
+  bool FlushWrites(const std::shared_ptr<Conn>& conn);
   void CloseConn(const std::shared_ptr<Conn>& conn);
   void UpdateEpollOut(const std::shared_ptr<Conn>& conn, bool want_write);
   void Wake();

@@ -13,6 +13,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstdint>
 #include <future>
 #include <memory>
 #include <string>
@@ -44,6 +45,64 @@ TEST(Crc32Test, MatchesKnownVectors) {
   // The standard IEEE CRC-32 check value.
   EXPECT_EQ(Crc32("123456789", 9), 0xcbf43926u);
   EXPECT_EQ(Crc32("", 0), 0u);
+}
+
+// Test-local bytewise CRC-32 (the textbook one-table loop), the reference
+// the slicing-by-8 implementation must reproduce bit for bit.
+uint32_t BytewiseCrc32(const uint8_t* data, size_t size) {
+  uint32_t table[256];
+  for (uint32_t i = 0; i < 256; ++i) {
+    uint32_t c = i;
+    for (int k = 0; k < 8; ++k) c = (c & 1) ? 0xedb88320u ^ (c >> 1) : c >> 1;
+    table[i] = c;
+  }
+  uint32_t crc = 0xffffffffu;
+  for (size_t i = 0; i < size; ++i) {
+    crc = table[(crc ^ data[i]) & 0xff] ^ (crc >> 8);
+  }
+  return crc ^ 0xffffffffu;
+}
+
+TEST(Crc32Test, SlicingBy8MatchesBytewiseReferenceAtEveryAlignment) {
+  // Lengths 0..67 cover the 8-byte body, every tail length, and several
+  // body iterations; offsets 0..7 cover every alignment of the 8-byte loads.
+  std::vector<uint8_t> bytes(8 + 67);
+  uint32_t state = 12345;
+  for (uint8_t& b : bytes) {
+    state = state * 1103515245u + 12345u;
+    b = static_cast<uint8_t>(state >> 24);
+  }
+  for (size_t align = 0; align < 8; ++align) {
+    for (size_t len = 0; len <= 67; ++len) {
+      EXPECT_EQ(Crc32(bytes.data() + align, len),
+                BytewiseCrc32(bytes.data() + align, len))
+          << "align " << align << " len " << len;
+    }
+  }
+}
+
+TEST(FrameTest, HeaderCrcMatchesBytewiseReference) {
+  // Wire compatibility: the CRC field is the reference CRC of header bytes
+  // [4, 24) followed by the payload, for payloads on both sides of 8 bytes.
+  for (size_t len : {0u, 1u, 7u, 8u, 9u, 1536u}) {
+    Frame frame;
+    frame.type = FrameType::kResponse;
+    frame.method = Method::kGetRecommendation;
+    frame.trace_id = 0x0123456789ABCDEFULL;
+    frame.request_id = 77;
+    for (size_t i = 0; i < len; ++i) {
+      frame.payload.push_back(static_cast<char>('a' + i % 26));
+    }
+    const std::string wire = EncodeFrame(frame);
+    std::string covered = wire.substr(4, 20) + frame.payload;
+    const uint32_t want = BytewiseCrc32(
+        reinterpret_cast<const uint8_t*>(covered.data()), covered.size());
+    uint32_t got = 0;
+    for (int i = 3; i >= 0; --i) {
+      got = got << 8 | static_cast<uint8_t>(wire[24 + i]);
+    }
+    EXPECT_EQ(got, want) << "payload length " << len;
+  }
 }
 
 TEST(FrameTest, RoundTripsThroughDecoder) {
@@ -83,6 +142,76 @@ TEST(FrameTest, DecodesByteByByteAndBackToBack) {
   ASSERT_TRUE(decoder.HasFrame());
   EXPECT_EQ(decoder.Next().payload, "m,0,1\n");
   EXPECT_EQ(decoder.PendingBytes(), 0u);
+}
+
+// 1000 frames of mixed methods and payload sizes (0..199 bytes).
+std::vector<Frame> MixedFrames(size_t count) {
+  std::vector<Frame> frames(count);
+  for (size_t i = 0; i < count; ++i) {
+    Frame& frame = frames[i];
+    frame.type = i % 2 == 0 ? FrameType::kRequest : FrameType::kResponse;
+    frame.method = static_cast<Method>(1 + i % 5);
+    frame.status = static_cast<WireStatus>(i % 7);
+    frame.trace_id = 0x9E3779B97F4A7C15ULL * (i + 1);
+    frame.request_id = static_cast<uint32_t>(i + 1);
+    frame.payload.assign((i * 37) % 200, static_cast<char>('A' + i % 26));
+  }
+  return frames;
+}
+
+void ExpectSameFrame(const Frame& got, const Frame& want) {
+  EXPECT_EQ(got.type, want.type);
+  EXPECT_EQ(got.method, want.method);
+  EXPECT_EQ(got.status, want.status);
+  EXPECT_EQ(got.trace_id, want.trace_id);
+  EXPECT_EQ(got.request_id, want.request_id);
+  EXPECT_EQ(got.payload, want.payload);
+}
+
+TEST(FrameTest, ManyFramesInOneFeedMatchByteByByte) {
+  const std::vector<Frame> frames = MixedFrames(1000);
+  std::string wire;
+  for (const Frame& frame : frames) AppendFrame(frame, &wire);
+
+  FrameDecoder whole;
+  ASSERT_TRUE(whole.Feed(wire.data(), wire.size()).ok());
+  FrameDecoder trickle;
+  for (char c : wire) ASSERT_TRUE(trickle.Feed(&c, 1).ok());
+  for (const Frame& want : frames) {
+    ASSERT_TRUE(whole.HasFrame());
+    ASSERT_TRUE(trickle.HasFrame());
+    ExpectSameFrame(whole.Next(), want);
+    ExpectSameFrame(trickle.Next(), want);
+  }
+  EXPECT_FALSE(whole.HasFrame());
+  EXPECT_FALSE(trickle.HasFrame());
+  EXPECT_EQ(whole.PendingBytes(), 0u);
+  EXPECT_EQ(trickle.PendingBytes(), 0u);
+}
+
+TEST(FrameTest, BadFrameMidBufferPoisonsAfterDeliveringEarlierFrames) {
+  const std::vector<Frame> frames = MixedFrames(1000);
+  std::string wire;
+  for (size_t i = 0; i < 500; ++i) AppendFrame(frames[i], &wire);
+  std::string bad = EncodeFrame(frames[500]);
+  bad[kFrameHeaderBytes - 1] ^= 0x40;  // corrupt the CRC field
+  wire += bad;
+  for (size_t i = 501; i < frames.size(); ++i) AppendFrame(frames[i], &wire);
+
+  FrameDecoder decoder;
+  Status fed = decoder.Feed(wire.data(), wire.size());
+  EXPECT_FALSE(fed.ok());
+  EXPECT_TRUE(Contains(fed.message(), "CRC"));
+  // Frames ahead of the bad one were complete and valid: they are delivered.
+  for (size_t i = 0; i < 500; ++i) {
+    ASSERT_TRUE(decoder.HasFrame()) << i;
+    ExpectSameFrame(decoder.Next(), frames[i]);
+  }
+  EXPECT_FALSE(decoder.HasFrame());
+  // Poisoned: a pristine follow-up frame is refused.
+  const std::string good = EncodeFrame(Frame{});
+  EXPECT_FALSE(decoder.Feed(good.data(), good.size()).ok());
+  EXPECT_FALSE(decoder.HasFrame());
 }
 
 TEST(FrameTest, RejectsCorruptPayloadByCrc) {
@@ -171,11 +300,12 @@ TEST(FrameTest, StatusMappingsRoundTrip) {
 
 // ---- router -----------------------------------------------------------------
 
-Frame MakeRequest(Method method, std::string payload) {
+Frame MakeRequest(Method method, std::string payload,
+                  uint32_t request_id = 7) {
   Frame frame;
   frame.type = FrameType::kRequest;
   frame.method = method;
-  frame.request_id = 7;
+  frame.request_id = request_id;
   frame.payload = std::move(payload);
   return frame;
 }
@@ -395,7 +525,7 @@ TEST(ServerTest, TraceIdPropagatesEndToEndThroughLoopback) {
   EXPECT_TRUE(saw_call);
 
   // Server half: the request's handler + router spans carry the same id.
-  // Poll briefly — FinishRequest runs on the event loop after the response.
+  // Poll briefly: spans are recorded by the server threads, not the client.
   bool saw_net = false;
   bool saw_router = false;
   for (int attempt = 0; attempt < 100 && !(saw_net && saw_router);
@@ -631,6 +761,142 @@ TEST(ServerTest, ShedsWhenPerConnectionQueueIsFull) {
   EXPECT_EQ(rest[0].request_id, 1u);
   EXPECT_EQ((*server)->requests_shed(), 3u);
   EXPECT_EQ(registry.GetCounter("ipool_net_shed_total")->value(), 3u);
+  (*server)->Shutdown(1.0);
+}
+
+// A handler that answers GetRecommendation at once and holds every
+// PublishTelemetry until `release` fires, counting both.
+struct GatedHandler {
+  std::shared_future<void> released;
+  std::atomic<int>* publishes_entered;
+  std::atomic<int>* gets_run;
+
+  Frame operator()(const Frame& request) const {
+    Frame response;
+    response.status = WireStatus::kOk;
+    if (request.method == Method::kPublishTelemetry) {
+      publishes_entered->fetch_add(1, std::memory_order_acq_rel);
+      released.wait();
+      response.payload = "published";
+    } else {
+      gets_run->fetch_add(1, std::memory_order_acq_rel);
+      response.payload = "doc:" + request.payload;
+    }
+    return response;
+  }
+};
+
+TEST(ServerTest, GetsAnsweredWhileEveryWorkerIsBlocked) {
+  // GETs run on the event loop, so they are served even when both pool
+  // workers are stuck in publishes, on the publishing connection and on
+  // another one.
+  std::promise<void> release;
+  std::atomic<int> publishes_entered{0};
+  std::atomic<int> gets_run{0};
+  exec::ThreadPool pool(2);
+  ServerConfig config;
+  config.pool = &pool;
+  auto server = Server::Start(
+      config, GatedHandler{release.get_future().share(), &publishes_entered,
+                           &gets_run});
+  ASSERT_TRUE(server.ok());
+
+  RawConn busy((*server)->port());
+  ASSERT_TRUE(busy.connected());
+  busy.Send(EncodeFrame(MakeRequest(Method::kPublishTelemetry, "a", 1)) +
+            EncodeFrame(MakeRequest(Method::kPublishTelemetry, "b", 2)));
+  while (publishes_entered.load(std::memory_order_acquire) < 2) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+
+  busy.Send(EncodeFrame(MakeRequest(Method::kGetRecommendation, "x", 3)));
+  std::vector<Frame> same = busy.ReadFrames(1);
+  ASSERT_EQ(same.size(), 1u);
+  EXPECT_EQ(same[0].request_id, 3u);
+  EXPECT_EQ(same[0].status, WireStatus::kOk);
+  EXPECT_EQ(same[0].payload, "doc:x");
+
+  RawConn other((*server)->port());
+  ASSERT_TRUE(other.connected());
+  other.Send(EncodeFrame(MakeRequest(Method::kGetRecommendation, "y", 9)));
+  std::vector<Frame> elsewhere = other.ReadFrames(1);
+  ASSERT_EQ(elsewhere.size(), 1u);
+  EXPECT_EQ(elsewhere[0].request_id, 9u);
+  EXPECT_EQ(elsewhere[0].payload, "doc:y");
+
+  release.set_value();
+  std::vector<Frame> published = busy.ReadFrames(2);
+  ASSERT_EQ(published.size(), 2u);
+  for (const Frame& frame : published) {
+    EXPECT_EQ(frame.status, WireStatus::kOk);
+    EXPECT_EQ(frame.payload, "published");
+  }
+  EXPECT_EQ(gets_run.load(), 2);
+  (*server)->Shutdown(1.0);
+}
+
+TEST(ServerTest, PipelinedGetBurstGetsEveryResponse) {
+  TestService service;
+  RawConn conn(service.server->port());
+  ASSERT_TRUE(conn.connected());
+  std::string burst;
+  for (uint32_t id = 1; id <= 64; ++id) {
+    AppendFrame(MakeRequest(Method::kGetRecommendation, "east-medium", id),
+                &burst);
+  }
+  conn.Send(burst);  // one write: the server decodes all 64 in one batch
+  std::vector<Frame> responses = conn.ReadFrames(64);
+  ASSERT_EQ(responses.size(), 64u);
+  std::vector<uint32_t> ids;
+  for (const Frame& frame : responses) {
+    EXPECT_EQ(frame.type, FrameType::kResponse);
+    EXPECT_EQ(frame.method, Method::kGetRecommendation);
+    EXPECT_EQ(frame.status, WireStatus::kOk);
+    EXPECT_EQ(frame.payload, "v1\npool=4,5,6\n");
+    ids.push_back(frame.request_id);
+  }
+  std::sort(ids.begin(), ids.end());
+  for (uint32_t id = 1; id <= 64; ++id) EXPECT_EQ(ids[id - 1], id);
+  service.server->Shutdown(1.0);
+  EXPECT_EQ(service.server->requests_handled(), 64u);
+  EXPECT_EQ(service.server->requests_shed(), 0u);
+}
+
+TEST(ServerTest, GetOverInflightBudgetIsShedNotExecuted) {
+  // The inline path keeps the admission order: a GET arriving while the
+  // connection's budget is spent on a blocked publish is shed, not run.
+  std::promise<void> release;
+  std::atomic<int> publishes_entered{0};
+  std::atomic<int> gets_run{0};
+  obs::MetricsRegistry registry;
+  exec::ThreadPool pool(2);
+  ServerConfig config;
+  config.pool = &pool;
+  config.max_inflight_per_conn = 1;
+  config.metrics = &registry;
+  auto server = Server::Start(
+      config, GatedHandler{release.get_future().share(), &publishes_entered,
+                           &gets_run});
+  ASSERT_TRUE(server.ok());
+
+  RawConn conn((*server)->port());
+  ASSERT_TRUE(conn.connected());
+  conn.Send(EncodeFrame(MakeRequest(Method::kPublishTelemetry, "a", 1)) +
+            EncodeFrame(MakeRequest(Method::kGetRecommendation, "k", 2)));
+  std::vector<Frame> shed = conn.ReadFrames(1);
+  ASSERT_EQ(shed.size(), 1u);
+  EXPECT_EQ(shed[0].request_id, 2u);
+  EXPECT_EQ(shed[0].status, WireStatus::kRetryAfter);
+  EXPECT_EQ(gets_run.load(), 0);
+
+  release.set_value();
+  std::vector<Frame> rest = conn.ReadFrames(1);
+  ASSERT_EQ(rest.size(), 1u);
+  EXPECT_EQ(rest[0].request_id, 1u);
+  EXPECT_EQ(rest[0].status, WireStatus::kOk);
+  EXPECT_EQ((*server)->requests_shed(), 1u);
+  EXPECT_EQ(registry.GetCounter("ipool_net_shed_total")->value(), 1u);
+  EXPECT_EQ(gets_run.load(), 0);
   (*server)->Shutdown(1.0);
 }
 
