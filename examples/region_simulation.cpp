@@ -1,16 +1,16 @@
 // Region simulation: a full day of the production control plane for one
 // region, exercising every moving part of Figure 2 — telemetry ingestion,
-// the Intelligent Pooling Worker retraining every 30 minutes (with two
-// injected crashes), recommendation documents in the Cosmos DB stand-in,
-// the Pooling Worker's stale/default fallbacks, Arbitrator lease
+// the live control plane retraining every 30 minutes on a virtual clock
+// (with two injected crashes), recommendation documents in the Cosmos DB
+// stand-in, the Pooling Worker's stale/default fallbacks, Arbitrator lease
 // management with an unhealthy worker replacement, and the event-driven
 // live-pool simulation scoring the final outcome.
 #include <cstdio>
 
 #include "common/strings.h"
+#include "live/control_loop.h"
 #include "service/monitoring.h"
 #include "service/arbitrator.h"
-#include "service/control_loop.h"
 #include "workload/demand_generator.h"
 
 int main() {
@@ -64,8 +64,8 @@ int main() {
 
   ControlLoopConfig loop;
   loop.run_interval_seconds = 1800.0;
-  loop.worker.history_bins = 720;  // train on the trailing 6 h
-  loop.pooling.default_pool_size = 6;
+  loop.history_bins = 720;  // train on the trailing 6 h
+  loop.default_pool_size = 6;
   loop.sim.creation_latency_mean_seconds = 90.0;
   loop.sim.creation_latency_cv = 0.2;
   loop.sim.seed = 7;

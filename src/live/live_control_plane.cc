@@ -12,6 +12,7 @@
 #include "service/tuning_io.h"
 #include "service/sharded_document_store.h"
 #include "service/sharded_telemetry_store.h"
+#include "tsdata/metrics.h"
 #include "tsdata/time_series.h"
 
 namespace ipool::live {
@@ -22,6 +23,26 @@ double SteadySeconds() {
   return std::chrono::duration<double>(
              std::chrono::steady_clock::now().time_since_epoch())
       .count();
+}
+
+// Did `predicted` (from `forecast_start`) miss the actuals in `history`
+// (bins ending at `now`) by more than ratio * (mean(history) + 1)? Its
+// actuals start at index H - elapsed, not at the tail H - bins.
+bool GuardrailTrips(const std::vector<double>& predicted,
+                    double forecast_start, double now,
+                    const TimeSeries& history, double ratio) {
+  const size_t h = history.size();
+  const auto elapsed = static_cast<size_t>(
+      std::max(0.0, (now - forecast_start) / history.interval()));
+  const auto bins =
+      static_cast<ptrdiff_t>(std::min(predicted.size(), elapsed));
+  if (bins == 0 || elapsed > h) return false;
+  const auto actual =
+      history.values().begin() + static_cast<ptrdiff_t>(h - elapsed);
+  auto mae = Mae({actual, actual + bins},
+                 {predicted.begin(), predicted.begin() + bins});
+  return mae.ok() &&
+         *mae > ratio * (history.Sum() / static_cast<double>(h) + 1.0);
 }
 
 }  // namespace
@@ -54,6 +75,9 @@ Status LiveControlPlaneConfig::Validate() const {
   if (min_history_points == 0) {
     return Status::InvalidArgument("min_history_points must be >= 1");
   }
+  if (!(guardrail_mae_ratio >= 0.0)) {
+    return Status::InvalidArgument("guardrail_mae_ratio must be >= 0");
+  }
   if (tune_interval_seconds < 0.0) {
     return Status::InvalidArgument("tune interval must be >= 0");
   }
@@ -84,6 +108,8 @@ struct LiveControlPlane::PoolWork {
   /// null serves with the shared engine.
   const RecommendationEngine* engine = nullptr;
   Result<Recommendation> result = Status::Internal("not computed");
+  /// The guardrail held this pool's fresh recommendation back.
+  bool rejected = false;
 };
 
 Result<std::unique_ptr<LiveControlPlane>> LiveControlPlane::Create(
@@ -140,6 +166,8 @@ LiveControlPlane::LiveControlPlane(const RecommendationEngine* engine,
     tick_seconds_ = metrics->GetHistogram("ipool_live_tick_seconds");
     tuning_docs_rejected_ =
         metrics->GetCounter("ipool_live_tuning_docs_rejected_total");
+    guardrail_rejections_ =
+        metrics->GetCounter("ipool_live_guardrail_rejections_total");
     pools_tuned_gauge_ = metrics->GetGauge("ipool_live_pools_tuned");
   }
 }
@@ -307,12 +335,32 @@ TickStatus LiveControlPlane::TickOnce() {
         options);
   }
 
+  // Stage 2.5: guardrail (§7.5), serial. A trip holds the pool's fresh
+  // recommendation back; the fresh forecast is the next reference anyway.
+  size_t rejected = 0;
+  if (config_.guardrail_mae_ratio > 0.0) {
+    for (PoolWork& item : work) {
+      if (!item.result.ok()) continue;
+      const double start = item.last_time + config_.bin_interval_seconds;
+      auto [it, first] = last_forecast_.try_emplace(item.key);
+      item.rejected = !first && GuardrailTrips(it->second.second,
+                                               it->second.first, start,
+                                               item.history,
+                                               config_.guardrail_mae_ratio);
+      rejected += item.rejected ? 1 : 0;
+      it->second = {start, item.result->predicted_demand};
+    }
+  }
+  if (guardrail_rejections_ != nullptr && rejected > 0) {
+    guardrail_rejections_->Add(rejected);
+  }
+
   // Stage 3: publish every fresh recommendation through PutBatch — ops are
   // grouped by shard and each shard's snapshot swaps exactly once, so
   // readers of a shard see either none or all of this tick's writes to it.
   // Unchanged serialized documents reuse the store's cached payload bytes
-  // (payload_builds stays flat). Failed pools are not touched: their
-  // previous document keeps serving (§7.6).
+  // (payload_builds stays flat). Failed and guardrail-rejected pools are
+  // not touched: their previous document keeps serving (§7.6).
   const double wall = Now();
   size_t published = 0;
   size_t failed = 0;
@@ -321,7 +369,7 @@ TickStatus LiveControlPlane::TickOnce() {
     obs::ScopedSpan span(config_.obs.tracer, "live.publish");
     std::vector<ShardedDocumentStore::PutOp> puts;
     for (PoolWork& item : work) {
-      if (!item.result.ok()) continue;
+      if (!item.result.ok() || item.rejected) continue;
       StoredRecommendation stored;
       stored.recommendation = std::move(*item.result);
       stored.start_time = item.last_time + config_.bin_interval_seconds;
@@ -415,7 +463,9 @@ TickStatus LiveControlPlane::TickOnce() {
     status_.ticks_idle += status == TickStatus::kIdle ? 1 : 0;
     status_.last_tick_status = status;
     if (!last_error.empty()) status_.last_error = last_error;
+    status_.guardrail_rejections += rejected;
     for (const PoolWork& item : work) {
+      if (item.rejected) continue;  // not a failure; its age keeps rising
       PoolState& state = pool_states_[item.key];
       if (item.result.ok()) {
         state.last_published = wall;

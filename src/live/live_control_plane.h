@@ -32,6 +32,14 @@
 // rising (ipool_live_recommendation_age_seconds{pool=...}) until a later
 // tick succeeds. Pools with fewer than `min_history_points` telemetry
 // points are not yet pools: they are skipped without failing the tick.
+//
+// Guardrail (§7.5, off unless guardrail_mae_ratio > 0): a pool whose
+// previous forecast missed the actuals since by too much is mis-tracking,
+// so its fresh recommendation is held back — the previous document keeps
+// serving, its age keeps rising, ipool_live_guardrail_rejections_total
+// counts it — without failing the tick. The fresh forecast becomes the next
+// reference either way. The replay (live/control_loop.h) drives this plane
+// on a virtual clock.
 #ifndef IPOOL_LIVE_LIVE_CONTROL_PLANE_H_
 #define IPOOL_LIVE_LIVE_CONTROL_PLANE_H_
 
@@ -44,6 +52,8 @@
 #include <mutex>
 #include <string>
 #include <thread>
+#include <utility>
+#include <vector>
 
 #include "autotune/fleet_tuner.h"
 #include "common/status.h"
@@ -82,11 +92,16 @@ struct LiveControlPlaneConfig {
   /// Carry per-pool ForecastWarmState across ticks (the SSA training fast
   /// path). Disable to force every tick cold.
   bool warm_refit = true;
+  /// Guardrail: hold back a pool's fresh recommendation when its previous
+  /// forecast's MAE over the bins elapsed since exceeds
+  /// guardrail_mae_ratio * (mean(history) + 1). 0 disables the check.
+  double guardrail_mae_ratio = 0.0;
   /// Fan-out for the per-pool compute stage; null runs pools serially.
   exec::ExecContext exec;
   /// Metrics + spans sink (optional): ipool_live_ticks_total{status},
   /// ipool_live_tick_seconds, ipool_live_recommendation_age_seconds{pool},
-  /// and live.tick > live.snapshot / live.refit_solve / live.publish spans.
+  /// ipool_live_guardrail_rejections_total, and live.tick > live.snapshot /
+  /// live.refit_solve / live.publish spans.
   ObsContext obs;
   /// Wall clock in seconds used for recommendation ages and document
   /// timestamps; null uses std::chrono::steady_clock. Tests inject a
@@ -116,7 +131,8 @@ struct LiveControlPlaneConfig {
 };
 
 enum class TickStatus {
-  /// No pool had enough telemetry (or none exists yet); nothing changed.
+  /// Nothing published or failed: no pool had enough telemetry, or the
+  /// guardrail held every fresh recommendation back.
   kIdle,
   /// Every eligible pool published a fresh recommendation.
   kOk,
@@ -140,6 +156,8 @@ struct LiveStatus {
   /// Oldest live recommendation across pools, in clock seconds; 0 before
   /// the first publish.
   double max_recommendation_age_seconds = 0.0;
+  /// Fresh recommendations the guardrail held back.
+  uint64_t guardrail_rejections = 0;
   /// Fleet auto-tuning (all 0 when the tuner is disabled).
   uint64_t tunes_total = 0;
   uint64_t tunes_switched = 0;
@@ -238,6 +256,11 @@ class LiveControlPlane {
   /// pool's entry concurrently).
   std::map<std::string, ForecastWarmState> warm_;
 
+  /// The guardrail's reference per pool: the latest forecast and the time
+  /// of its first bin. Touched only inside TickOnce.
+  std::map<std::string, std::pair<double, std::vector<double>>>
+      last_forecast_;
+
   /// Fleet auto-tuner (null when tune_interval_seconds == 0) and its
   /// per-pool bookkeeping; all touched only inside TickOnce.
   std::unique_ptr<autotune::FleetTuner> tuner_;
@@ -267,6 +290,7 @@ class LiveControlPlane {
   obs::Gauge* pools_published_gauge_ = nullptr;
   obs::Histogram* tick_seconds_ = nullptr;
   obs::Counter* tuning_docs_rejected_ = nullptr;
+  obs::Counter* guardrail_rejections_ = nullptr;
   obs::Gauge* pools_tuned_gauge_ = nullptr;
 };
 

@@ -59,9 +59,8 @@ Result<std::string> Router::Dispatch(Method method,
       if (payload.empty()) {
         return Status::InvalidArgument("GetRecommendation needs a pool key");
       }
-      // The snapshot read path: one atomic shard-snapshot load, a map
-      // lookup, and a copy of the pre-serialized payload bytes — no lock
-      // held, no serialization work on the hot path.
+      // The snapshot read path: a shard-snapshot pointer copy, a map
+      // lookup, and a copy of the pre-serialized payload bytes.
       std::shared_ptr<const std::string> doc =
           config_.documents->GetPayload(payload);
       if (doc == nullptr) {
@@ -118,7 +117,8 @@ Result<std::string> Router::Dispatch(Method method,
           "live_tunes_total %llu\n"
           "live_tunes_switched %llu\n"
           "live_tunes_failed %llu\n"
-          "live_pools_tuned %zu\n",
+          "live_pools_tuned %zu\n"
+          "live_guardrail_rejections %llu\n",
           static_cast<unsigned long long>(live.ticks_total),
           static_cast<unsigned long long>(live.ticks_failed),
           live::TickStatusName(live.last_tick_status), live.pools_published,
@@ -126,7 +126,8 @@ Result<std::string> Router::Dispatch(Method method,
           static_cast<unsigned long long>(live.tunes_total),
           static_cast<unsigned long long>(live.tunes_switched),
           static_cast<unsigned long long>(live.tunes_failed),
-          live.pools_tuned);
+          live.pools_tuned,
+          static_cast<unsigned long long>(live.guardrail_rejections));
     }
     case Method::kMetrics: {
       obs::ScopedSpan span(config_.tracer, "router.Metrics");

@@ -16,7 +16,8 @@
 //                          rejected as INVALID_ARGUMENT); response: "ok",
 //                          followed by live-control-plane fields
 //                          (`live_<field> <value>` lines: tick counts, last
-//                          tick status, max recommendation age) when a
+//                          tick status, max recommendation age, tuner
+//                          counts, guardrail rejections) when a
 //                          LiveControlPlane is wired in.
 //   * Metrics            — response: Prometheus text exposition of the
 //                          wired registry (obs::PrometheusText).
@@ -28,8 +29,9 @@
 // sharded and internally synchronized (per-shard mutexes; see
 // service/sharded_document_store.h and service/sharded_telemetry_store.h),
 // replacing the single store_mutex() the pre-shard router exposed.
-// GetRecommendation is lock-free-in-practice: one atomic shard-snapshot
-// load, a map lookup, and a copy of the pre-serialized payload bytes.
+// GetRecommendation copies the shard's snapshot pointer under a mutex held
+// only for that copy, then does a map lookup and copies the pre-serialized
+// payload bytes with no lock held.
 // PublishTelemetry applies each parse-validated batch with one lock
 // acquisition per touched shard. Health and Metrics never touch a store
 // lock at all (live status and instruments are read via atomics), so

@@ -336,7 +336,8 @@ bool Server::DispatchFrame(const std::shared_ptr<Conn>& conn, Frame frame) {
     EnqueueLocked(conn, reject, -1.0);
     return true;
   }
-  // GetRecommendation is a lock-free snapshot read, so the loop answers it
+  // GetRecommendation is a snapshot read that holds a shard mutex only to
+  // copy a pointer and never waits on a writer's work, so the loop answers it
   // right here: no pool hand-off, no worker wake-up, and its response
   // shares the read batch's single write. Everything else may block
   // (Health takes the live plane's state lock) and goes to the pool.

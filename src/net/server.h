@@ -4,8 +4,9 @@
 //   * One event-loop thread owns epoll, every socket, and all frame
 //     decoding. Sockets are nonblocking and level-triggered.
 //   * GetRecommendation requests run inline on the event-loop thread right
-//     after they are decoded: the document read is a lock-free snapshot
-//     lookup, cheaper than the pool hand-off it would otherwise pay for.
+//     after they are decoded: the document read is a snapshot lookup that
+//     holds a shard mutex only to copy a pointer, cheaper than the pool
+//     hand-off it would otherwise pay for.
 //     With no pool wired, every handler runs inline on the event loop
 //     (fine for tests and tiny deployments).
 //   * Every other request is dispatched onto an exec::ThreadPool (the

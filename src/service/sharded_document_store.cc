@@ -28,8 +28,7 @@ ShardedDocumentStore::ShardedDocumentStore(size_t shards) {
   shards_.reserve(count);
   for (size_t i = 0; i < count; ++i) {
     auto shard = std::make_unique<Shard>();
-    shard->snapshot.store(std::make_shared<const Snapshot>(),
-                          std::memory_order_relaxed);
+    shard->snapshot = std::make_shared<const Snapshot>();
     shards_.push_back(std::move(shard));
   }
 }
@@ -38,13 +37,26 @@ size_t ShardedDocumentStore::ShardIndex(const std::string& key) const {
   return static_cast<size_t>(Fnv1a(key)) & (shards_.size() - 1);
 }
 
+std::shared_ptr<const ShardedDocumentStore::Snapshot>
+ShardedDocumentStore::Load(const Shard& shard) {
+  std::lock_guard<std::mutex> lock(shard.snapshot_mu);
+  return shard.snapshot;
+}
+
+std::shared_ptr<const ShardedDocumentStore::Snapshot>
+ShardedDocumentStore::Swap(Shard& shard,
+                           std::shared_ptr<const Snapshot> next) {
+  std::lock_guard<std::mutex> lock(shard.snapshot_mu);
+  shard.snapshot.swap(next);
+  return next;
+}
+
 void ShardedDocumentStore::ApplyToShard(Shard& shard, std::vector<PutOp>& ops,
                                         const std::vector<size_t>& indices) {
   std::lock_guard<std::mutex> lock(shard.write_mu);
   // Copy-on-write: entries share their payload buffers with the previous
   // snapshot, so the copy is cheap (map nodes, not document bytes).
-  auto next = std::make_shared<Snapshot>(
-      *shard.snapshot.load(std::memory_order_relaxed));
+  auto next = std::make_shared<Snapshot>(*Load(shard));
   for (const size_t i : indices) {
     PutOp& op = ops[i];
     Entry& entry = next->docs[op.key];
@@ -59,7 +71,7 @@ void ShardedDocumentStore::ApplyToShard(Shard& shard, std::vector<PutOp>& ops,
     ++entry.version;
     payload_builds_.fetch_add(1, std::memory_order_relaxed);
   }
-  shard.snapshot.store(std::move(next), std::memory_order_release);
+  Swap(shard, std::move(next));
 }
 
 void ShardedDocumentStore::Put(const std::string& key, std::string value,
@@ -84,8 +96,7 @@ void ShardedDocumentStore::PutBatch(std::vector<PutOp> ops) {
 
 Result<ShardedDocumentStore::Document> ShardedDocumentStore::Get(
     const std::string& key) const {
-  const auto snapshot =
-      shards_[ShardIndex(key)]->snapshot.load(std::memory_order_acquire);
+  const auto snapshot = Load(*shards_[ShardIndex(key)]);
   const auto it = snapshot->docs.find(key);
   if (it == snapshot->docs.end()) {
     return Status::NotFound("document not found: " + key);
@@ -99,8 +110,7 @@ Result<ShardedDocumentStore::Document> ShardedDocumentStore::Get(
 
 std::shared_ptr<const std::string> ShardedDocumentStore::GetPayload(
     const std::string& key) const {
-  const auto snapshot =
-      shards_[ShardIndex(key)]->snapshot.load(std::memory_order_acquire);
+  const auto snapshot = Load(*shards_[ShardIndex(key)]);
   const auto it = snapshot->docs.find(key);
   if (it == snapshot->docs.end()) return nullptr;
   return it->second.payload;
@@ -109,18 +119,18 @@ std::shared_ptr<const std::string> ShardedDocumentStore::GetPayload(
 bool ShardedDocumentStore::Delete(const std::string& key) {
   Shard& shard = *shards_[ShardIndex(key)];
   std::lock_guard<std::mutex> lock(shard.write_mu);
-  const auto current = shard.snapshot.load(std::memory_order_relaxed);
+  const auto current = Load(shard);
   if (current->docs.find(key) == current->docs.end()) return false;
   auto next = std::make_shared<Snapshot>(*current);
   next->docs.erase(key);
-  shard.snapshot.store(std::move(next), std::memory_order_release);
+  Swap(shard, std::move(next));
   return true;
 }
 
 size_t ShardedDocumentStore::size() const {
   size_t total = 0;
   for (const auto& shard : shards_) {
-    total += shard->snapshot.load(std::memory_order_acquire)->docs.size();
+    total += Load(*shard)->docs.size();
   }
   return total;
 }

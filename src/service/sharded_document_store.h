@@ -1,15 +1,15 @@
-// The sharded, snapshot-read document store behind the serving hot path
-// (ROADMAP item 2): N power-of-two shards, FNV-1a pool-key hash -> shard,
-// per-shard writer mutex, and an RCU-style immutable snapshot per shard so
-// GetRecommendation readers never hold a lock while they look up or copy a
-// document.
+// The sharded, snapshot-read document store behind the serving hot path:
+// N power-of-two shards, FNV-1a pool-key hash -> shard, per-shard writer
+// mutex, and an RCU-style immutable snapshot per shard so GetRecommendation
+// readers never hold a lock while they look up or copy a document.
 //
-// Read path: readers atomically load the shard's `shared_ptr<const
-// Snapshot>`, then do a plain map lookup and copy the pre-serialized payload
-// bytes — no lock is held during the lookup or the copy, and a concurrent
-// publish can never mutate a snapshot a reader already holds. Writers
-// serialize per shard on the shard mutex, copy-on-write the shard map, and
-// publish the new snapshot with one atomic pointer store.
+// Read path: a reader copies the shard's `shared_ptr<const Snapshot>` under
+// a mutex held only for that copy, then looks up and copies the payload
+// with no lock held; a publish never mutates a snapshot a reader holds.
+// Writers serialize on the shard's writer mutex, copy-on-write the map and
+// swap the pointer. (Not std::atomic<std::shared_ptr>: libstdc++ 12's load
+// releases its lock bit with relaxed ordering, so a reader's pointer read
+// does not happen-before the next swap.)
 //
 // Payload caching: each document's response bytes live behind a
 // `shared_ptr<const std::string>` that is built once per distinct value. A
@@ -19,10 +19,7 @@
 // payload_builds() counts fresh payload materializations; tests assert it
 // stays flat across ticks that publish identical documents.
 //
-// Semantics vs the plain DocumentStore: Get/Put/Delete behave identically
-// except that a byte-identical Put does not increment the version (the
-// document, as served, did not change). Timestamps are virtual-time values
-// supplied by the caller, as before.
+// Timestamps are caller-supplied (virtual time in the replay and tests).
 #ifndef IPOOL_SERVICE_SHARDED_DOCUMENT_STORE_H_
 #define IPOOL_SERVICE_SHARDED_DOCUMENT_STORE_H_
 
@@ -35,13 +32,17 @@
 #include <vector>
 
 #include "common/status.h"
-#include "service/document_store.h"
 
 namespace ipool {
 
 class ShardedDocumentStore {
  public:
-  using Document = DocumentStore::Document;
+  /// A stored document as Get returns it.
+  struct Document {
+    std::string value;
+    double updated_at = 0.0;
+    int64_t version = 0;
+  };
 
   /// One write in a PutBatch.
   struct PutOp {
@@ -70,8 +71,9 @@ class ShardedDocumentStore {
   Result<Document> Get(const std::string& key) const;
 
   /// The serving fast path: the document's response bytes, or null when the
-  /// key is absent. Lock-free after the atomic snapshot load; the returned
-  /// buffer is immutable and safe to read after any number of later Puts.
+  /// key is absent. The shard's pointer mutex is held only to copy the
+  /// snapshot pointer; the returned buffer is immutable and safe to read
+  /// after any number of later Puts.
   std::shared_ptr<const std::string> GetPayload(const std::string& key) const;
 
   /// True if something was deleted.
@@ -102,8 +104,17 @@ class ShardedDocumentStore {
   struct Shard {
     /// Serializes writers only; readers never take it.
     std::mutex write_mu;
-    std::atomic<std::shared_ptr<const Snapshot>> snapshot;
+    /// Guards `snapshot` itself, held only to copy or swap the pointer.
+    mutable std::mutex snapshot_mu;
+    std::shared_ptr<const Snapshot> snapshot;
   };
+
+  /// The shard's current snapshot (a copy of the pointer).
+  static std::shared_ptr<const Snapshot> Load(const Shard& shard);
+  /// Installs `next` as the shard's snapshot and returns the previous one,
+  /// so the caller releases it after the pointer mutex is dropped.
+  static std::shared_ptr<const Snapshot> Swap(
+      Shard& shard, std::shared_ptr<const Snapshot> next);
 
   /// Applies `ops[i]` for i in `indices` to one shard under its writer
   /// mutex, publishing a single new snapshot.

@@ -22,16 +22,17 @@ run_cli(simulate --demand ${demand} --schedule ${schedule} --latency 90)
 run_cli(sweep --demand ${demand})
 
 # Control-loop command with observability exports: the Prometheus dump must
-# carry the loop counters and a quantile-derivable solve histogram, and the
-# trace must contain the nested phase spans.
+# carry the live plane's tick counters and a quantile-derivable solve
+# histogram, and the trace must contain the nested tick-stage spans.
 set(metrics ${WORKDIR}/cli_metrics.prom)
 set(spans ${WORKDIR}/cli_spans.jsonl)
 run_cli(loop --demand ${demand} --model ssa --run-interval 1800
         --history-bins 480 --metrics-out ${metrics} --trace-out ${spans})
 file(READ ${metrics} metrics_text)
 foreach(needle
-    "# TYPE ipool_pipeline_runs_total counter"
-    "ipool_pipeline_runs_total "
+    "# TYPE ipool_live_ticks_total counter"
+    "ipool_live_ticks_total{status=\"ok\"} "
+    "# TYPE ipool_live_tick_seconds histogram"
     "# TYPE ipool_solve_seconds histogram"
     "ipool_solve_seconds_bucket"
     "le=\"+Inf\"")
@@ -42,10 +43,10 @@ foreach(needle
 endforeach()
 file(READ ${spans} spans_text)
 foreach(needle
-    "\"name\":\"control_loop\"" "\"name\":\"pipeline\""
-    "\"name\":\"ingestion\"" "\"name\":\"forecast\""
-    "\"name\":\"solve\"" "\"name\":\"guardrail\""
-    "\"name\":\"apply\"" "\"name\":\"simulate\"")
+    "\"name\":\"control_loop\"" "\"name\":\"live.tick\""
+    "\"name\":\"live.snapshot\"" "\"name\":\"forecast\""
+    "\"name\":\"solve\"" "\"name\":\"live.refit_solve\""
+    "\"name\":\"live.publish\"" "\"name\":\"simulate\"")
   string(FIND "${spans_text}" "${needle}" pos)
   if(pos EQUAL -1)
     message(FATAL_ERROR "trace export missing span ${needle}")

@@ -97,6 +97,14 @@ PipelineConfig BaselinePipeline() {
   return config;
 }
 
+/// A baseline forecasting 50x the window maximum: every forecast misses
+/// steady demand by far more than any sane guardrail allows.
+PipelineConfig Gamma50Pipeline() {
+  PipelineConfig config = BaselinePipeline();
+  config.forecast.gamma = 50.0;
+  return config;
+}
+
 LiveControlPlaneConfig SmallLiveConfig() {
   LiveControlPlaneConfig config;
   config.bin_interval_seconds = 30.0;
@@ -117,6 +125,9 @@ TEST(LiveConfigTest, ValidateRejectsBadValues) {
   EXPECT_FALSE(config.Validate().ok());
   config = LiveControlPlaneConfig();
   config.min_history_points = 0;
+  EXPECT_FALSE(config.Validate().ok());
+  config = LiveControlPlaneConfig();
+  config.guardrail_mae_ratio = -1.0;
   EXPECT_FALSE(config.Validate().ok());
   EXPECT_TRUE(LiveControlPlaneConfig().Validate().ok());
 
@@ -359,6 +370,7 @@ TEST(LiveControlPlaneTest, HealthReportsLiveFields) {
   EXPECT_TRUE(Contains(idle.payload, "ok\n"));
   EXPECT_TRUE(Contains(idle.payload, "live_ticks_total 0"));
   EXPECT_TRUE(Contains(idle.payload, "live_last_tick_status idle"));
+  EXPECT_TRUE(Contains(idle.payload, "live_guardrail_rejections 0\n"));
 
   PublishPoints(&router, "demand.east", 0.0, 8, 4.0);
   ASSERT_EQ((*plane)->TickOnce(), TickStatus::kOk);
@@ -366,6 +378,136 @@ TEST(LiveControlPlaneTest, HealthReportsLiveFields) {
   EXPECT_TRUE(Contains(live.payload, "live_ticks_total 1"));
   EXPECT_TRUE(Contains(live.payload, "live_last_tick_status ok"));
   EXPECT_TRUE(Contains(live.payload, "live_pools_published 1"));
+  EXPECT_TRUE(Contains(live.payload, "live_guardrail_rejections 0\n"));
+
+  // A held-back recommendation shows up in the count.
+  auto bad = RecommendationEngine::Create(Gamma50Pipeline());
+  ASSERT_TRUE(bad.ok());
+  LiveControlPlaneConfig guarded = SmallLiveConfig();
+  guarded.guardrail_mae_ratio = 1.0;
+  auto guarded_plane =
+      LiveControlPlane::Create(&*bad, &telemetry, &documents, guarded);
+  ASSERT_TRUE(guarded_plane.ok());
+  router.set_live(guarded_plane->get());
+  ASSERT_EQ((*guarded_plane)->TickOnce(), TickStatus::kOk);
+  PublishPoints(&router, "demand.east", 240.0, 4, 4.0);
+  ASSERT_EQ((*guarded_plane)->TickOnce(), TickStatus::kIdle);
+  net::Frame rejected = router.Handle(MakeRequest(net::Method::kHealth, ""));
+  EXPECT_TRUE(Contains(rejected.payload, "live_guardrail_rejections 1\n"));
+}
+
+// ---------------------------------------------------------------------------
+// The §7.5 guardrail (guardrail_mae_ratio > 0).
+
+/// Plane over fresh stores with the guardrail at `ratio` and a virtual
+/// clock; owns everything so each test reads as its ticks.
+struct GuardedPlane {
+  ShardedDocumentStore documents;
+  ShardedTelemetryStore telemetry;
+  obs::MetricsRegistry registry;
+  net::Router router{net::RouterConfig{&documents, &telemetry, &registry}};
+  Result<RecommendationEngine> engine = Status::Internal("unset");
+  std::unique_ptr<LiveControlPlane> plane;
+  double now = 0.0;
+
+  GuardedPlane(const PipelineConfig& pipeline, double ratio) {
+    engine = RecommendationEngine::Create(pipeline);
+    EXPECT_TRUE(engine.ok()) << engine.status().ToString();
+    LiveControlPlaneConfig config = SmallLiveConfig();
+    config.guardrail_mae_ratio = ratio;
+    config.obs.metrics = &registry;
+    config.clock = [this] { return now; };
+    auto created =
+        LiveControlPlane::Create(&*engine, &telemetry, &documents, config);
+    EXPECT_TRUE(created.ok()) << created.status().ToString();
+    plane = std::move(*created);
+  }
+
+  uint64_t rejections() {
+    return registry.GetCounter("ipool_live_guardrail_rejections_total")
+        ->value();
+  }
+};
+
+// The second tick validates the first tick's forecast (50 x 4 per bin)
+// against the 4s that landed since: it misses by 196 against a limit of
+// about 5, so nothing is published. A rejection is not a failure — the tick
+// is not kFailed and no pool failure is counted — but the previous document
+// keeps serving and its age keeps rising.
+TEST(LiveGuardrailTest, RejectsGamma50ForecastOnSecondTick) {
+  GuardedPlane g(Gamma50Pipeline(), /*ratio=*/1.0);
+  PublishPoints(&g.router, "demand.east", 0.0, 8, 4.0);
+  ASSERT_EQ(g.plane->TickOnce(), TickStatus::kOk);  // no reference yet
+  const auto first = g.documents.Get("east");
+  ASSERT_TRUE(first.ok());
+
+  g.now += 120.0;
+  PublishPoints(&g.router, "demand.east", 240.0, 4, 4.0);
+  const TickStatus second = g.plane->TickOnce();
+  EXPECT_NE(second, TickStatus::kFailed);
+  EXPECT_EQ(second, TickStatus::kIdle);
+  EXPECT_EQ(g.documents.Get("east")->version, first->version);
+  EXPECT_EQ(g.documents.Get("east")->value, first->value);
+  EXPECT_EQ(g.rejections(), 1u);
+  EXPECT_EQ(g.registry.GetCounter("ipool_live_pool_failures_total")->value(),
+            0u);
+  const LiveStatus status = g.plane->Snapshot();
+  EXPECT_EQ(status.guardrail_rejections, 1u);
+  EXPECT_EQ(status.ticks_failed, 0u);
+  EXPECT_DOUBLE_EQ(status.max_recommendation_age_seconds, 120.0);
+}
+
+// The rejected forecast still becomes the next reference. After a jump
+// from 1 to 40 the second tick's forecast of 1s misses (rejected), its own
+// forecast of 40s matches the next bins, so the third tick publishes. Had
+// the first tick's forecast of 1s stayed the reference, the third tick
+// would have been rejected too.
+TEST(LiveGuardrailTest, NextTickValidatesAgainstRejectedForecast) {
+  GuardedPlane g(BaselinePipeline(), /*ratio=*/1.0);
+  PublishPoints(&g.router, "demand.east", 0.0, 8, 1.0);
+  ASSERT_EQ(g.plane->TickOnce(), TickStatus::kOk);
+  PublishPoints(&g.router, "demand.east", 240.0, 4, 40.0);
+  ASSERT_EQ(g.plane->TickOnce(), TickStatus::kIdle);
+  ASSERT_EQ(g.rejections(), 1u);
+
+  PublishPoints(&g.router, "demand.east", 360.0, 4, 40.0);
+  EXPECT_EQ(g.plane->TickOnce(), TickStatus::kOk);
+  EXPECT_EQ(g.rejections(), 1u);
+  auto served = GetServed(&g.router, "east");
+  ASSERT_TRUE(served.ok());
+  EXPECT_DOUBLE_EQ(served->start_time, 480.0);
+}
+
+// A tick gap longer than the forecast: 12 bins elapse over an 8-bin
+// forecast of 4s. Its actuals are the 8 bins from the forecast's start (all
+// 4s, MAE 0), not the history tail, which ends in a spike to 40 (MAE 18
+// against a limit of 14).
+TEST(LiveGuardrailTest, LongGapReadsActualsFromForecastStart) {
+  GuardedPlane g(BaselinePipeline(), /*ratio=*/1.0);
+  PublishPoints(&g.router, "demand.east", 0.0, 8, 4.0);
+  ASSERT_EQ(g.plane->TickOnce(), TickStatus::kOk);
+  auto first = GetServed(&g.router, "east");
+  ASSERT_TRUE(first.ok());
+  ASSERT_EQ(first->recommendation.predicted_demand.size(), 8u);
+
+  PublishPoints(&g.router, "demand.east", 240.0, 8, 4.0);
+  PublishPoints(&g.router, "demand.east", 480.0, 4, 40.0);
+  EXPECT_EQ(g.plane->TickOnce(), TickStatus::kOk);
+  EXPECT_EQ(g.rejections(), 0u);
+}
+
+// Ratio 0 turns the guardrail off: the gamma-50 forecast that the check
+// rejects above is published on every tick.
+TEST(LiveGuardrailTest, RatioZeroNeverRejects) {
+  GuardedPlane g(Gamma50Pipeline(), /*ratio=*/0.0);
+  PublishPoints(&g.router, "demand.east", 0.0, 8, 4.0);
+  ASSERT_EQ(g.plane->TickOnce(), TickStatus::kOk);
+  const int64_t first_version = g.documents.Get("east")->version;
+  PublishPoints(&g.router, "demand.east", 240.0, 4, 4.0);
+  EXPECT_EQ(g.plane->TickOnce(), TickStatus::kOk);
+  EXPECT_GT(g.documents.Get("east")->version, first_version);
+  EXPECT_EQ(g.rejections(), 0u);
+  EXPECT_EQ(g.plane->Snapshot().guardrail_rejections, 0u);
 }
 
 // The no-re-serialization contract end to end: a tick that sees no new

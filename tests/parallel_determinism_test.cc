@@ -17,11 +17,11 @@
 #include "forecast/forecaster.h"
 #include "forecast/ssa.h"
 #include "linalg/matrix.h"
+#include "live/control_loop.h"
 #include "nn/gradcheck.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "nn/ops.h"
-#include "service/control_loop.h"
 #include "sim/multi_pool.h"
 #include "solver/saa_optimizer.h"
 #include "tsdata/time_series.h"
@@ -362,8 +362,8 @@ TEST(ParallelDeterminismTest, ControlLoopFleetBitIdentical) {
     spec.demand = generator->GenerateBinned();
     spec.request_events = generator->GenerateEvents();
     spec.config.run_interval_seconds = 1800.0;
-    spec.config.worker.history_bins = 480;
-    spec.config.pooling.default_pool_size = 5;
+    spec.config.history_bins = 480;
+    spec.config.default_pool_size = 5;
     spec.config.sim.creation_latency_mean_seconds = 90.0;
     pools.push_back(std::move(spec));
   }

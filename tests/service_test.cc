@@ -2,45 +2,23 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <utility>
 
 #include "common/rng.h"
 #include "core/recommendation_engine.h"
 #include "obs/metrics.h"
 #include "obs/obs_context.h"
 #include "obs/trace.h"
+#include "live/control_loop.h"
 #include "service/arbitrator.h"
-#include "service/adaptive_loop.h"
-#include "service/control_loop.h"
-#include "service/document_store.h"
 #include "service/recommendation_io.h"
+#include "service/sharded_document_store.h"
 #include "service/telemetry_store.h"
-#include "service/workers.h"
 #include "workload/demand_generator.h"
 
 namespace ipool {
 namespace {
-
-// ---- document store ---------------------------------------------------------
-
-TEST(DocumentStoreTest, PutGetDelete) {
-  DocumentStore store;
-  EXPECT_FALSE(store.Get("missing").ok());
-  store.Put("key", "value-1", 100.0);
-  auto doc = store.Get("key");
-  ASSERT_TRUE(doc.ok());
-  EXPECT_EQ(doc->value, "value-1");
-  EXPECT_DOUBLE_EQ(doc->updated_at, 100.0);
-  EXPECT_EQ(doc->version, 1);
-
-  store.Put("key", "value-2", 200.0);
-  doc = store.Get("key");
-  EXPECT_EQ(doc->value, "value-2");
-  EXPECT_EQ(doc->version, 2);
-
-  EXPECT_TRUE(store.Delete("key"));
-  EXPECT_FALSE(store.Delete("key"));
-  EXPECT_FALSE(store.Get("key").ok());
-}
 
 // ---- telemetry store --------------------------------------------------------
 
@@ -320,9 +298,9 @@ TEST(ArbitratorTest, BalancesLoadAcrossWorkers) {
   EXPECT_EQ(arb->LoadOf("w2"), 2u);
 }
 
-// ---- workers ----------------------------------------------------------------
+// ---- control loop -----------------------------------------------------------
 
-PipelineConfig WorkerPipeline() {
+PipelineConfig SsaPipeline() {
   PipelineConfig config;
   config.kind = PipelineKind::k2Step;
   config.model = ModelKind::kSsa;
@@ -335,141 +313,11 @@ PipelineConfig WorkerPipeline() {
   return config;
 }
 
-IntelligentPoolingWorkerConfig WorkerConfig() {
-  IntelligentPoolingWorkerConfig config;
-  config.history_bins = 480;  // 4 hours
-  return config;
-}
-
-// Loads a telemetry store with a smooth demand pattern.
-void FillTelemetry(TelemetryStore* telemetry, double until_seconds,
-                   uint64_t seed = 3) {
-  WorkloadConfig wconfig;
-  wconfig.duration_days = until_seconds / 86400.0;
-  wconfig.base_rate_per_minute = 6.0;
-  // Flat profile so every queried window contains traffic (the diurnal
-  // trough would leave the small windows used here empty).
-  wconfig.diurnal_amplitude = 0.0;
-  wconfig.weekend_factor = 1.0;
-  wconfig.seed = seed;
-  auto generator = DemandGenerator::Create(wconfig);
-  for (double t : generator->GenerateEvents()) {
-    ASSERT_TRUE(telemetry->RecordEvent("cluster_requests", t).ok());
-  }
-}
-
-TEST(IntelligentPoolingWorkerTest, PersistsRecommendation) {
-  auto engine = RecommendationEngine::Create(WorkerPipeline());
-  ASSERT_TRUE(engine.ok());
-  TelemetryStore telemetry;
-  DocumentStore documents;
-  FillTelemetry(&telemetry, 6 * 3600.0);
-  auto worker = IntelligentPoolingWorker::Create(&*engine, &telemetry,
-                                                 &documents, WorkerConfig());
-  ASSERT_TRUE(worker.ok());
-  ASSERT_TRUE(worker->RunOnce(5 * 3600.0).ok());
-  EXPECT_EQ(worker->runs_succeeded(), 1u);
-
-  auto doc = documents.Get("pool-recommendation");
-  ASSERT_TRUE(doc.ok());
-  auto stored = ParseRecommendation(doc->value);
-  ASSERT_TRUE(stored.ok());
-  EXPECT_EQ(stored->recommendation.pool_size_per_bin.size(), 120u);
-  EXPECT_DOUBLE_EQ(stored->start_time, 5 * 3600.0);
-}
-
-TEST(IntelligentPoolingWorkerTest, InjectedFailureLeavesOldDocument) {
-  auto engine = RecommendationEngine::Create(WorkerPipeline());
-  TelemetryStore telemetry;
-  DocumentStore documents;
-  FillTelemetry(&telemetry, 6 * 3600.0);
-  auto worker = IntelligentPoolingWorker::Create(&*engine, &telemetry,
-                                                 &documents, WorkerConfig());
-  ASSERT_TRUE(worker->RunOnce(4 * 3600.0).ok());
-  const auto first = documents.Get("pool-recommendation");
-
-  worker->InjectFailures(1);
-  EXPECT_FALSE(worker->RunOnce(5 * 3600.0).ok());
-  EXPECT_EQ(worker->runs_failed(), 1u);
-  const auto second = documents.Get("pool-recommendation");
-  EXPECT_EQ(second->version, first->version);  // unchanged
-}
-
-TEST(IntelligentPoolingWorkerTest, GuardrailRejectsBadForecaster) {
-  // A baseline with an absurd gamma produces forecasts far above actuals;
-  // the second run's guardrail must reject.
-  PipelineConfig bad = WorkerPipeline();
-  bad.model = ModelKind::kBaseline;
-  bad.forecast.gamma = 50.0;
-  auto engine = RecommendationEngine::Create(bad);
-  TelemetryStore telemetry;
-  DocumentStore documents;
-  FillTelemetry(&telemetry, 8 * 3600.0);
-  IntelligentPoolingWorkerConfig wconfig = WorkerConfig();
-  wconfig.guardrail_mae_ratio = 1.0;
-  auto worker = IntelligentPoolingWorker::Create(&*engine, &telemetry,
-                                                 &documents, wconfig);
-  ASSERT_TRUE(worker->RunOnce(5 * 3600.0).ok());
-  auto second = worker->RunOnce(6 * 3600.0);
-  EXPECT_FALSE(second.ok());
-  EXPECT_EQ(second.code(), StatusCode::kFailedPrecondition);
-  EXPECT_EQ(worker->guardrail_rejections(), 1u);
-}
-
-TEST(PoolingWorkerTest, FallsBackWithoutRecommendation) {
-  DocumentStore documents;
-  PoolingWorkerConfig config;
-  config.default_pool_size = 7;
-  auto worker = PoolingWorker::Create(&documents, config);
-  ASSERT_TRUE(worker.ok());
-  EXPECT_EQ(worker->TargetAt(100.0), 7);
-  EXPECT_EQ(worker->fallback_count(), 1u);
-}
-
-TEST(PoolingWorkerTest, UsesFreshRecommendation) {
-  DocumentStore documents;
-  StoredRecommendation stored = SampleStored();
-  documents.Put("pool-recommendation", SerializeRecommendation(stored),
-                stored.start_time);
-  PoolingWorkerConfig config;
-  auto worker = PoolingWorker::Create(&documents, config);
-  EXPECT_EQ(worker->TargetAt(7230.0), 4);
-  EXPECT_EQ(worker->fallback_count(), 0u);
-}
-
-TEST(PoolingWorkerTest, StaleRecommendationFallsBackToDefault) {
-  DocumentStore documents;
-  StoredRecommendation stored = SampleStored();
-  documents.Put("pool-recommendation", SerializeRecommendation(stored),
-                stored.start_time);
-  PoolingWorkerConfig config;
-  config.recommendation_ttl_seconds = 3600.0;
-  config.default_pool_size = 9;
-  auto worker = PoolingWorker::Create(&documents, config);
-  // Slightly outdated (within TTL): last-bin value.
-  EXPECT_EQ(worker->TargetAt(stored.start_time + 3000.0), 5);
-  // Beyond TTL: default.
-  EXPECT_EQ(worker->TargetAt(stored.start_time + 4000.0), 9);
-  EXPECT_EQ(worker->fallback_count(), 1u);
-}
-
-TEST(PoolingWorkerTest, CorruptDocumentFallsBack) {
-  DocumentStore documents;
-  documents.Put("pool-recommendation", "garbage", 0.0);
-  PoolingWorkerConfig config;
-  config.default_pool_size = 3;
-  auto worker = PoolingWorker::Create(&documents, config);
-  EXPECT_EQ(worker->TargetAt(10.0), 3);
-  EXPECT_EQ(worker->fallback_count(), 1u);
-}
-
-// ---- control loop -----------------------------------------------------------
-
 // Control-loop pipeline: SSA+ with a strong overshoot bias, the deployed
 // configuration. Plain SSA predicts the smooth mean with no margin and
 // cannot reach high hit rates (the paper's §5.2 limitation).
 PipelineConfig LoopPipeline() {
-  PipelineConfig config = WorkerPipeline();
+  PipelineConfig config = SsaPipeline();
   config.model = ModelKind::kSsaPlus;
   config.forecast.alpha_prime = 0.95;
   config.saa.alpha_prime = 0.2;
@@ -479,8 +327,8 @@ PipelineConfig LoopPipeline() {
 ControlLoopConfig LoopConfig() {
   ControlLoopConfig config;
   config.run_interval_seconds = 1800.0;
-  config.worker.history_bins = 480;
-  config.pooling.default_pool_size = 5;
+  config.history_bins = 480;
+  config.default_pool_size = 5;
   config.sim.creation_latency_mean_seconds = 90.0;
   return config;
 }
@@ -530,22 +378,40 @@ TEST(ControlLoopTest, ObservabilityCountsRunsAndNestsPhaseSpans) {
   auto result = ControlLoop::Run(*engine, config, demand, events);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
 
-  // Metrics side: the run counter agrees with the loop's own accounting and
-  // every run landed one pipeline-latency observation.
-  EXPECT_EQ(registry.GetCounter("ipool_pipeline_runs_total")->value(),
+  // Metrics side: the plane's tick counter agrees with the loop's own
+  // accounting and every run landed one tick-latency observation.
+  uint64_t ticks = 0;
+  for (const char* status : {"ok", "failed", "idle"}) {
+    ticks += registry.GetCounter("ipool_live_ticks_total", {{"status", status}})
+                 ->value();
+  }
+  EXPECT_EQ(ticks, result->pipeline_runs);
+  EXPECT_EQ(registry.GetHistogram("ipool_live_tick_seconds")->count(),
             result->pipeline_runs);
-  EXPECT_EQ(registry.GetHistogram("ipool_pipeline_run_seconds")->count(),
-            result->pipeline_runs);
+  // Every run that published is an ok tick; failures and guardrail
+  // rejections published nothing.
+  const uint64_t ok_ticks =
+      registry.GetCounter("ipool_live_ticks_total", {{"status", "ok"}})
+          ->value();
+  EXPECT_EQ(ok_ticks, result->pipeline_runs - result->pipeline_failures -
+                          result->guardrail_rejections);
+  EXPECT_GT(ok_ticks, 0u);
+  EXPECT_EQ(
+      registry.GetCounter("ipool_live_guardrail_rejections_total")->value(),
+      result->guardrail_rejections);
   EXPECT_EQ(registry.GetCounter("ipool_telemetry_events_total")->value(),
             events.size());
-  // The exporter path published the telemetry store's state.
-  EXPECT_DOUBLE_EQ(registry
-                       .GetGauge("ipool_telemetry_points",
-                                 {{"metric", "cluster_requests"}})
-                       ->value(),
-                   static_cast<double>(events.size()));
+  // The exporter path published the telemetry store's state: one point per
+  // demand bin carrying every event.
+  const obs::LabelSet replayed = {{"metric", "demand.replay"}};
+  EXPECT_DOUBLE_EQ(
+      registry.GetGauge("ipool_telemetry_points", replayed)->value(),
+      static_cast<double>(demand.size()));
+  EXPECT_DOUBLE_EQ(
+      registry.GetGauge("ipool_telemetry_value_sum", replayed)->value(),
+      static_cast<double>(events.size()));
 
-  // Trace side: every "pipeline" span nests its phase children, and the
+  // Trace side: every "live.tick" span nests its stage children, and the
   // children's durations sum to no more than the parent's.
   const auto spans = tracer.FinishedSpans();
   ASSERT_EQ(tracer.dropped(), 0u);
@@ -554,41 +420,60 @@ TEST(ControlLoopTest, ObservabilityCountsRunsAndNestsPhaseSpans) {
     if (s.name == "control_loop") root_id = s.id;
   }
   ASSERT_NE(root_id, 0u);
-  size_t pipeline_spans = 0;
-  size_t apply_spans = 0;
+  auto children_of = [&](const obs::SpanRecord& parent) {
+    std::vector<const obs::SpanRecord*> children;
+    for (const auto& child : spans) {
+      if (child.parent_id == parent.id) children.push_back(&child);
+    }
+    return children;
+  };
+  auto has_child = [&](const obs::SpanRecord& parent, const char* name) {
+    for (const auto* child : children_of(parent)) {
+      if (child->name == name) return true;
+    }
+    return false;
+  };
+  size_t tick_spans = 0;
+  size_t pool_spans = 0;
   bool saw_simulate = false;
   for (const auto& parent : spans) {
     if (parent.name == "simulate") {
       saw_simulate = true;
       EXPECT_EQ(parent.parent_id, root_id);
     }
-    if (parent.name != "pipeline") continue;
-    ++pipeline_spans;
+    if (parent.name != "live.tick") continue;
+    ++tick_spans;
     EXPECT_EQ(parent.parent_id, root_id);
     double child_total = 0.0;
-    std::vector<std::string> child_names;
-    for (const auto& child : spans) {
-      if (child.parent_id != parent.id) continue;
-      EXPECT_GE(child.duration_seconds, 0.0);
-      EXPECT_GE(child.start_seconds, parent.start_seconds - 1e-9);
-      child_total += child.duration_seconds;
-      child_names.push_back(child.name);
+    for (const auto* child : children_of(parent)) {
+      EXPECT_GE(child->duration_seconds, 0.0);
+      EXPECT_GE(child->start_seconds, parent.start_seconds - 1e-9);
+      child_total += child->duration_seconds;
     }
     EXPECT_LE(child_total, parent.duration_seconds + 1e-9);
-    // Every run reaches these phases; "apply" is skipped on guardrail
-    // rejection and counted separately below.
-    for (const char* phase : {"ingestion", "guardrail", "forecast", "solve"}) {
-      EXPECT_NE(std::find(child_names.begin(), child_names.end(), phase),
-                child_names.end())
-          << "pipeline span missing child " << phase;
+    // Every run reaches these stages, also when the guardrail holds the
+    // recommendation back.
+    for (const char* stage : {"live.snapshot", "live.refit_solve",
+                              "live.publish"}) {
+      EXPECT_TRUE(has_child(parent, stage))
+          << "live.tick span missing child " << stage;
     }
-    apply_spans += static_cast<size_t>(
-        std::count(child_names.begin(), child_names.end(), "apply"));
+    // The refit/solve stage runs the one replayed pool through the engine,
+    // which adds its "forecast" / "solve" phases.
+    for (const auto* stage : children_of(parent)) {
+      if (stage->name != "live.refit_solve") continue;
+      for (const auto* pool : children_of(*stage)) {
+        EXPECT_EQ(pool->name, "live.pool");
+        ++pool_spans;
+        for (const char* phase : {"forecast", "solve"}) {
+          EXPECT_TRUE(has_child(*pool, phase))
+              << "live.pool span missing child " << phase;
+        }
+      }
+    }
   }
-  EXPECT_EQ(pipeline_spans, result->pipeline_runs);
-  EXPECT_EQ(apply_spans, result->pipeline_runs - result->pipeline_failures -
-                             result->guardrail_rejections);
-  EXPECT_GT(apply_spans, 0u);
+  EXPECT_EQ(tick_spans, result->pipeline_runs);
+  EXPECT_EQ(pool_spans, result->pipeline_runs);
   EXPECT_TRUE(saw_simulate);
 }
 
@@ -614,7 +499,7 @@ TEST(ControlLoopTest, SurvivesInjectedFailures) {
 }
 
 TEST(ControlLoopTest, AllFailuresFallBackToDefault) {
-  auto engine = RecommendationEngine::Create(WorkerPipeline());
+  auto engine = RecommendationEngine::Create(SsaPipeline());
   WorkloadConfig wconfig;
   wconfig.duration_days = 0.25;
   wconfig.base_rate_per_minute = 4.0;
@@ -633,8 +518,8 @@ TEST(ControlLoopTest, AllFailuresFallBackToDefault) {
 }
 
 TEST(ControlLoopTest, WarmRefitMatchesColdSchedulesAndHitsWarmStarts) {
-  // The worker's warm_refit path (per-pool SsaWarmState carried across
-  // RunOnce ticks) must be a pure speedup: the applied schedule is identical
+  // The warm_refit path (per-pool SsaWarmState carried across the plane's
+  // ticks) must be a pure speedup: the applied schedule is identical
   // to forcing every pipeline run cold, and the SSA warm-start counters
   // prove the fast path actually engaged rather than silently refitting
   // from scratch every tick. The trace is hand-crafted rather than drawn
@@ -673,7 +558,7 @@ TEST(ControlLoopTest, WarmRefitMatchesColdSchedulesAndHitsWarmStarts) {
     auto engine = RecommendationEngine::Create(pipeline);
     EXPECT_TRUE(engine.ok());
     ControlLoopConfig config = LoopConfig();
-    config.worker.warm_refit = warm;
+    config.warm_refit = warm;
     return ControlLoop::Run(*engine, config, demand, events);
   };
 
@@ -698,47 +583,174 @@ TEST(ControlLoopTest, WarmRefitMatchesColdSchedulesAndHitsWarmStarts) {
       0u);
 }
 
-// ---- adaptive loop (§6 through the full control plane) -----------------------
-
-TEST(AdaptiveLoopTest, SteersWaitTowardSla) {
-  AdaptiveLoopConfig config;
-  config.pipeline = LoopPipeline();
-  config.loop = LoopConfig();
-  config.tuner.target_wait_seconds = 2.0;
-  config.tuner.initial_alpha = 0.9;  // start far too stingy
-
-  std::vector<DemandPeriod> periods;
-  for (uint64_t day = 0; day < 6; ++day) {
-    WorkloadConfig wconfig;
-    wconfig.duration_days = 0.25;
-    wconfig.base_rate_per_minute = 6.0;
-    wconfig.diurnal_amplitude = 0.0;
-    wconfig.seed = 500 + day;
-    auto generator = DemandGenerator::Create(wconfig);
-    periods.push_back({generator->GenerateBinned(), generator->GenerateEvents()});
+// The Pooling Worker's rule: a fresh document's bin target, its last bin
+// while slightly outdated, and the default size — counted as a fallback —
+// without a document, past the TTL, or when the document does not parse.
+TEST(ControlLoopTest, TargetRuleFallsBackToDefault) {
+  const StoredRecommendation stored = SampleStored();  // bins 3, 4, 5
+  ShardedDocumentStore documents;
+  documents.Put("fresh", SerializeRecommendation(stored), stored.start_time);
+  documents.Put("corrupt", "garbage", stored.start_time);
+  ControlLoopConfig config;
+  config.recommendation_ttl_seconds = 3600.0;
+  config.default_pool_size = 9;
+  const struct {
+    const char* key;
+    double now;
+    int64_t size;
+    bool fallback;
+  } cases[] = {
+      {"missing", 100.0, 9, true},
+      {"fresh", 7230.0, 4, false},
+      {"fresh", 7200.0 + 3000.0, 5, false},  // within the TTL: last bin
+      {"fresh", 7200.0 + 4000.0, 9, true},   // beyond the TTL
+      {"corrupt", 7230.0, 9, true},
+  };
+  for (const auto& c : cases) {
+    const ControlLoop::Target target =
+        ControlLoop::TargetAt(documents.Get(c.key), c.now, config);
+    EXPECT_EQ(target.size, c.size) << c.key << " at " << c.now;
+    EXPECT_EQ(target.fallback, c.fallback) << c.key << " at " << c.now;
   }
-
-  auto result = AdaptiveLoop::Run(config, periods);
-  ASSERT_TRUE(result.ok()) << result.status().ToString();
-  ASSERT_EQ(result->periods.size(), 6u);
-  // alpha' must have moved downward from the stingy start...
-  EXPECT_LT(result->final_alpha, 0.9);
-  // ...and the final period's wait must be closer to the SLA than the first.
-  const double first_gap =
-      std::fabs(result->periods.front().avg_wait_seconds - 2.0);
-  const double last_gap =
-      std::fabs(result->periods.back().avg_wait_seconds - 2.0);
-  EXPECT_LT(last_gap, first_gap);
 }
 
-TEST(AdaptiveLoopTest, ValidatesInputs) {
-  AdaptiveLoopConfig config;
-  config.pipeline = LoopPipeline();
-  config.loop = LoopConfig();
-  EXPECT_FALSE(AdaptiveLoop::Run(config, {}).ok());
-  config.tuner.window = 0;
-  std::vector<DemandPeriod> one(1);
-  EXPECT_FALSE(AdaptiveLoop::Run(config, one).ok());
+
+// ---- control-loop goldens -----------------------------------------------
+
+// A replay pinned bit for bit: FNV-1a over the applied schedule, the run
+// accounting, and the bits of the simulated total wait. The values were
+// captured from the replay's earlier implementation (its own worker loop
+// over a plain document store), before the replay became a driver of the
+// live control plane.
+struct ReplayDigest {
+  uint64_t schedule_hash = 0;
+  size_t runs = 0;
+  size_t failures = 0;
+  size_t rejections = 0;
+  size_t fallback_bins = 0;
+  uint64_t total_wait_bits = 0;
+};
+
+ReplayDigest Digest(const ControlLoopResult& result) {
+  ReplayDigest digest;
+  uint64_t h = 1469598103934665603ULL;
+  for (const int64_t size : result.applied_schedule) {
+    const auto bits = static_cast<uint64_t>(size);
+    for (int byte = 0; byte < 8; ++byte) {
+      h ^= (bits >> (8 * byte)) & 0xffU;
+      h *= 1099511628211ULL;
+    }
+  }
+  digest.schedule_hash = h;
+  digest.runs = result.pipeline_runs;
+  digest.failures = result.pipeline_failures;
+  digest.rejections = result.guardrail_rejections;
+  digest.fallback_bins = result.fallback_bins;
+  std::memcpy(&digest.total_wait_bits, &result.sim.total_wait_seconds,
+              sizeof(digest.total_wait_bits));
+  return digest;
+}
+
+void ExpectDigest(const ControlLoopResult& result,
+                  const ReplayDigest& expected) {
+  const ReplayDigest got = Digest(result);
+  EXPECT_EQ(got.schedule_hash, expected.schedule_hash);
+  EXPECT_EQ(got.runs, expected.runs);
+  EXPECT_EQ(got.failures, expected.failures);
+  EXPECT_EQ(got.rejections, expected.rejections);
+  EXPECT_EQ(got.fallback_bins, expected.fallback_bins);
+  EXPECT_EQ(got.total_wait_bits, expected.total_wait_bits);
+}
+
+/// Flat half-day trace of the RunsEndToEnd / SurvivesInjectedFailures tests.
+std::pair<TimeSeries, std::vector<double>> FlatTrace(uint64_t seed) {
+  WorkloadConfig wconfig;
+  wconfig.duration_days = 0.5;
+  wconfig.base_rate_per_minute = 6.0;
+  wconfig.diurnal_amplitude = 0.0;
+  wconfig.seed = seed;
+  auto generator = DemandGenerator::Create(wconfig);
+  return {generator->GenerateBinned(), generator->GenerateEvents()};
+}
+
+TEST(ControlLoopGoldenTest, RunsEndToEnd) {
+  auto engine = RecommendationEngine::Create(LoopPipeline());
+  ASSERT_TRUE(engine.ok());
+  const auto [demand, events] = FlatTrace(19);
+  auto result = ControlLoop::Run(*engine, LoopConfig(), demand, events);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  ExpectDigest(*result, {0xa7826497d8ae9923ULL, 23, 0, 1, 60,
+                         0x40aced0fef724e12ULL});
+}
+
+TEST(ControlLoopGoldenTest, SurvivesInjectedFailures) {
+  auto engine = RecommendationEngine::Create(LoopPipeline());
+  ASSERT_TRUE(engine.ok());
+  const auto [demand, events] = FlatTrace(23);
+  auto result = ControlLoop::Run(*engine, LoopConfig(), demand, events,
+                                 [](size_t run) { return run % 2 == 1; });
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  ExpectDigest(*result, {0x9a2c5bdf76432f4dULL, 23, 11, 2, 299,
+                         0x40d31ebb2efda7f6ULL});
+}
+
+// A baseline forecasting 50x the window maximum trips the §7.5 guardrail on
+// every run after the first at ratio 1.0.
+TEST(ControlLoopGoldenTest, GuardrailRejectsGamma50Baseline) {
+  PipelineConfig pipeline = SsaPipeline();
+  pipeline.model = ModelKind::kBaseline;
+  pipeline.forecast.gamma = 50.0;
+  auto engine = RecommendationEngine::Create(pipeline);
+  ASSERT_TRUE(engine.ok());
+  const auto [demand, events] = FlatTrace(19);
+  ControlLoopConfig config = LoopConfig();
+  config.guardrail_mae_ratio = 1.0;
+  auto result = ControlLoop::Run(*engine, config, demand, events);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_GT(result->guardrail_rejections, 0u);
+  ExpectDigest(*result, {0xf23d4a2a7d1c6f4eULL, 23, 0, 22, 1319,
+                         0x40f47d308ab2f2f0ULL});
+}
+
+// examples/region_simulation's day: SSA+ over a diurnal trace with
+// hourly spikes, runs 10 and 11 crashed.
+TEST(ControlLoopGoldenTest, RegionSimulationDay) {
+  WorkloadConfig workload;
+  workload.duration_days = 1.0;
+  workload.base_rate_per_minute = 8.0;
+  workload.hourly_spike_requests = 15.0;
+  workload.diurnal_amplitude = 0.4;
+  workload.seed = 2024;
+  auto generator = DemandGenerator::Create(workload);
+  const TimeSeries demand = generator->GenerateBinned();
+  const std::vector<double> events = generator->GenerateEvents();
+
+  PipelineConfig pipeline;
+  pipeline.model = ModelKind::kSsaPlus;
+  pipeline.forecast.window = 96;
+  pipeline.forecast.horizon = 48;
+  pipeline.forecast.alpha_prime = 0.92;
+  pipeline.saa.alpha_prime = 0.25;
+  pipeline.saa.pool.tau_bins = 3;
+  pipeline.saa.pool.stableness_bins = 10;
+  pipeline.saa.pool.max_pool_size = 300;
+  pipeline.recommendation_bins = 120;
+  auto engine = RecommendationEngine::Create(pipeline);
+  ASSERT_TRUE(engine.ok());
+
+  ControlLoopConfig loop;
+  loop.run_interval_seconds = 1800.0;
+  loop.history_bins = 720;
+  loop.default_pool_size = 6;
+  loop.sim.creation_latency_mean_seconds = 90.0;
+  loop.sim.creation_latency_cv = 0.2;
+  loop.sim.seed = 7;
+  auto result = ControlLoop::Run(
+      *engine, loop, demand, events,
+      [](size_t run) { return run == 10 || run == 11; });
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  ExpectDigest(*result, {0x29d19766c967074fULL, 47, 2, 0, 119,
+                         0x40bc0d0b3a6ebc92ULL});
 }
 
 }  // namespace

@@ -10,19 +10,65 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <map>
 #include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "common/strings.h"
-#include "service/document_store.h"
 #include "service/sharded_document_store.h"
 #include "service/sharded_telemetry_store.h"
 #include "service/telemetry_store.h"
 
 namespace ipool {
 namespace {
+
+// The plain single-map document store: the reference the sharded store must
+// be indistinguishable from (except that it bumps the version on every Put).
+class PlainDocumentStore {
+ public:
+  using Document = ShardedDocumentStore::Document;
+
+  void Put(const std::string& key, std::string value, double time) {
+    Document& doc = documents_[key];
+    doc.value = std::move(value);
+    doc.updated_at = time;
+    ++doc.version;
+  }
+  Result<Document> Get(const std::string& key) const {
+    auto it = documents_.find(key);
+    if (it == documents_.end()) {
+      return Status::NotFound("document not found: " + key);
+    }
+    return it->second;
+  }
+  bool Delete(const std::string& key) { return documents_.erase(key) > 0; }
+  size_t size() const { return documents_.size(); }
+
+ private:
+  std::map<std::string, Document> documents_;
+};
+
+TEST(ShardedDocumentStoreTest, PutGetDelete) {
+  ShardedDocumentStore store;
+  EXPECT_FALSE(store.Get("missing").ok());
+  store.Put("key", "value-1", 100.0);
+  auto doc = store.Get("key");
+  ASSERT_TRUE(doc.ok());
+  EXPECT_EQ(doc->value, "value-1");
+  EXPECT_DOUBLE_EQ(doc->updated_at, 100.0);
+  EXPECT_EQ(doc->version, 1);
+
+  store.Put("key", "value-2", 200.0);
+  doc = store.Get("key");
+  EXPECT_EQ(doc->value, "value-2");
+  EXPECT_EQ(doc->version, 2);
+
+  EXPECT_TRUE(store.Delete("key"));
+  EXPECT_FALSE(store.Delete("key"));
+  EXPECT_FALSE(store.Get("key").ok());
+}
 
 TEST(ShardedDocumentStoreTest, RoundsShardCountUpToPowerOfTwo) {
   EXPECT_EQ(ShardedDocumentStore(0).shard_count(), 1u);
@@ -46,11 +92,11 @@ TEST(ShardedDocumentStoreTest, ShardIndexIsStableAndInRange) {
 }
 
 // For every shard count, the same Put/Delete sequence yields documents
-// byte-identical (value, version, updated_at) to the plain DocumentStore —
+// byte-identical (value, version, updated_at) to the plain map —
 // sharding must be invisible to readers.
 TEST(ShardedDocumentStoreTest, MatchesPlainStoreForEveryShardCount) {
   for (const size_t shards : {1u, 4u, 16u}) {
-    DocumentStore plain;
+    PlainDocumentStore plain;
     ShardedDocumentStore sharded(shards);
     for (int round = 0; round < 3; ++round) {
       for (int i = 0; i < 40; ++i) {

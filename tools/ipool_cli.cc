@@ -94,8 +94,9 @@
 // `evaluate` scores a schedule with the analytical queueing model (§4.1);
 // `simulate` replays the demand through the event-driven pool simulator;
 // `sweep` prints the alpha' Pareto frontier of SAA-on-history;
-// `loop` drives the full control plane (telemetry ingest -> periodic
-// pipeline runs -> pooling worker -> simulator) end to end.
+// `loop` replays the demand through the live control plane on a virtual
+// clock (telemetry ingest -> one tick per run -> pooling worker rule ->
+// simulator) end to end.
 //
 // Observability (recommend, simulate and loop): `--metrics-out FILE`
 // writes Prometheus text exposition, `--trace-out FILE` writes one JSON
@@ -119,6 +120,7 @@
 #include "common/rng.h"
 #include "common/strings.h"
 #include "core/recommendation_engine.h"
+#include "live/control_loop.h"
 #include "live/live_control_plane.h"
 #include "exec/task_profiler.h"
 #include "exec/thread_pool.h"
@@ -129,8 +131,6 @@
 #include "obs/export.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "service/control_loop.h"
-#include "service/document_store.h"
 #include "service/sharded_document_store.h"
 #include "service/sharded_telemetry_store.h"
 #include "service/monitoring.h"
@@ -636,7 +636,8 @@ int CmdLoop(const std::map<std::string, std::string>& flags) {
     return generator.GenerateBinned();
   }();
   std::vector<double> events = ScatterEvents(demand, seed);
-  // Re-base the demand trace itself so worker virtual time matches events.
+  // Re-base the demand trace itself so the replay's virtual time matches
+  // the events.
   demand = TimeSeries(0.0, demand.interval(),
                       std::vector<double>(demand.values()));
 
@@ -659,8 +660,7 @@ int CmdLoop(const std::map<std::string, std::string>& flags) {
 
   ControlLoopConfig config;
   config.run_interval_seconds = NumFlag(flags, "run-interval", 1800.0);
-  config.worker.interval_seconds = demand.interval();
-  config.worker.history_bins = static_cast<size_t>(
+  config.history_bins = static_cast<size_t>(
       NumFlag(flags, "history-bins",
               static_cast<double>(std::max<size_t>(8, demand.size() / 2))));
   config.sim.creation_latency_mean_seconds = NumFlag(flags, "latency", 90.0);
@@ -676,7 +676,7 @@ int CmdLoop(const std::map<std::string, std::string>& flags) {
       demand.interval() * static_cast<double>(demand.size());
   auto monitor =
       DieOnError(Monitor::Create(AlertConfig{}, CogsModel{},
-                                 config.pooling.default_pool_size),
+                                 config.default_pool_size),
                  "monitor");
   const size_t successes = result.pipeline_runs - result.pipeline_failures -
                            result.guardrail_rejections;
